@@ -6,6 +6,10 @@ elastic deformation (p=0.2, uniform branch), bias-field distortion
 (p=0.1) and k-space motion artifacts (p=0.05).  Probabilities are
 contractual; magnitude ranges are tool defaults and fully configurable.
 
+Affine, elastic and motion resample with ``scipy.ndimage`` trilinear
+interpolation.  Samples outside the grid take the volume minimum; a
+1e-6 voxel tolerance keeps samples nominally on the boundary inside.
+
 Randomness is split in two stages: :func:`plan_pipeline` draws every
 decision and parameter from the supplied generator and returns a plan,
 and :func:`apply_plan` executes it.  Identical streams therefore give
@@ -87,36 +91,6 @@ class AugmentSpec:
 # shared resampling machinery
 
 
-def _sample_trilinear(data: np.ndarray, coords: np.ndarray, fill: float) -> np.ndarray:
-    """Trilinear lookup of [3, M] fractional coordinates with constant fill.
-
-    Coordinates outside [0, extent-1] on any axis take ``fill``; a small
-    epsilon absorbs floating-point error in the coordinate arithmetic so
-    samples nominally on the boundary are not misclassified as outside.
-    """
-    eps = 1e-6
-    valid = np.ones(coords.shape[1], dtype=bool)
-    clamped = np.empty_like(coords)
-    for axis in range(3):
-        top = data.shape[axis] - 1
-        valid &= (coords[axis] >= -eps) & (coords[axis] <= top + eps)
-        clamped[axis] = np.clip(coords[axis], 0.0, top)
-
-    base = np.floor(clamped).astype(np.int64)
-    frac = clamped - base
-    out = np.zeros(coords.shape[1], dtype=np.float64)
-    for corner in range(8):
-        idx = []
-        weight = np.ones(coords.shape[1], dtype=np.float64)
-        for axis in range(3):
-            hi = (corner >> axis) & 1
-            i = np.clip(base[axis] + hi, 0, data.shape[axis] - 1)
-            idx.append(i)
-            weight *= frac[axis] if hi else 1.0 - frac[axis]
-        out += weight * data[idx[0], idx[1], idx[2]]
-    return np.where(valid, out, fill)
-
-
 def _rotation_matrix(angles_deg) -> np.ndarray:
     """Rotation about axes 0, 1, 2 composed as R2 @ R1 @ R0."""
     r = np.eye(3)
@@ -133,15 +107,21 @@ def _rotation_matrix(angles_deg) -> np.ndarray:
     return r
 
 
-def _index_grid(shape) -> np.ndarray:
-    axes = [np.arange(n, dtype=np.float64) for n in shape]
-    return np.stack(np.meshgrid(*axes, indexing="ij")).reshape(3, -1)
+def _resample(volume: Volume, source: np.ndarray) -> Volume:
+    """Trilinear lookup at fractional source coordinates [3, *shape].
 
-
-def _resample(volume: Volume, source_coords: np.ndarray) -> Volume:
-    fill = float(volume.data.min())
-    out = _sample_trilinear(volume.data.astype(np.float64), source_coords, fill)
-    return replace(volume, data=out.reshape(volume.data.shape).astype(volume.data.dtype))
+    Samples outside [0, extent-1] on any axis take the volume minimum; an
+    epsilon absorbs floating-point error in the coordinate arithmetic so
+    samples nominally on the boundary are not misclassified as outside.
+    """
+    eps = 1e-6
+    data = volume.data.astype(np.float64)
+    out = ndimage.map_coordinates(data, source, order=1, mode="nearest")
+    valid = np.ones(out.shape, dtype=bool)
+    for axis, n in enumerate(data.shape):
+        valid &= (source[axis] >= -eps) & (source[axis] <= n - 1 + eps)
+    out = np.where(valid, out, data.min())
+    return replace(volume, data=out.astype(volume.data.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +158,22 @@ def add_noise(volume: Volume, std: float, rng: np.random.Generator) -> Volume:
 
 
 def affine_resample(volume: Volume, rotation_deg=(0.0, 0.0, 0.0),
-                    translation_mm=(0.0, 0.0, 0.0), scale: float = 1.0) -> Volume:
+                    translation_mm=(0.0, 0.0, 0.0)) -> Volume:
     """Rigid resampling about the volume center with trilinear interpolation.
 
     Content moves by the forward transform; out-of-field samples take the
     minimum intensity as background.
     """
-    if not np.any(rotation_deg) and not np.any(translation_mm) and scale == 1.0:
+    if not np.any(rotation_deg) and not np.any(translation_mm):
         return replace(volume, data=volume.data.copy())
-    spacing = np.asarray(volume.voxel_size)
-    center = (np.asarray(volume.data.shape, dtype=np.float64) - 1) / 2
-    rot = _rotation_matrix(rotation_deg) * scale
-    inv = np.linalg.inv(rot)
-    grid = _index_grid(volume.data.shape)
-    mm = (grid - center[:, None]) * spacing[:, None]
-    src_mm = inv @ (mm - np.asarray(translation_mm, dtype=np.float64)[:, None])
-    src = src_mm / spacing[:, None] + center[:, None]
-    return _resample(volume, src)
+    shape = volume.data.shape
+    spacing = np.asarray(volume.voxel_size)[:, None]
+    center = (np.asarray(shape, dtype=np.float64)[:, None] - 1) / 2
+    inv = np.linalg.inv(_rotation_matrix(rotation_deg))
+    grid = np.indices(shape, dtype=np.float64).reshape(3, -1)
+    src_mm = inv @ ((grid - center) * spacing
+                    - np.asarray(translation_mm, dtype=np.float64)[:, None])
+    return _resample(volume, (src_mm / spacing + center).reshape(3, *shape))
 
 
 def elastic_deform(volume: Volume, displacements_mm: np.ndarray) -> Volume:
@@ -209,15 +188,12 @@ def elastic_deform(volume: Volume, displacements_mm: np.ndarray) -> Volume:
     if not displacements_mm.any():
         return replace(volume, data=volume.data.copy())
     shape = volume.data.shape
-    grid = _index_grid(shape)
-    g = displacements_mm.shape[0]
-    field_coords = np.empty_like(grid)
+    # corner-aligned upsampling: voxel i reads control point i (g-1) / (n-1)
+    factors = [n / g for n, g in zip(shape, displacements_mm.shape[:3])]
+    src = np.indices(shape, dtype=np.float64)
     for axis in range(3):
-        field_coords[axis] = grid[axis] * (g - 1) / (shape[axis] - 1)
-    src = grid.copy()
-    for axis in range(3):
-        disp_vox = _sample_trilinear(displacements_mm[..., axis], field_coords, 0.0)
-        src[axis] -= disp_vox / volume.voxel_size[axis]
+        disp = ndimage.zoom(displacements_mm[..., axis], factors, order=1, mode="nearest")
+        src[axis] -= disp / volume.voxel_size[axis]
     return _resample(volume, src)
 
 
@@ -243,7 +219,7 @@ def bias_field(volume: Volume, coefficients, order: int = 3) -> Volume:
         return replace(volume, data=volume.data.copy())
     shape = volume.data.shape
     axes = [np.linspace(-1.0, 1.0, n) for n in shape]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+    gx, gy, gz = np.meshgrid(*axes, indexing="ij", sparse=True)
     logfield = np.zeros(shape, dtype=np.float64)
     for coeff, (i, j, k) in zip(coefficients, exps):
         if coeff != 0.0:

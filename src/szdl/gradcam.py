@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from . import ops
 from .errors import EmptyList, MixedExtents, ShapeMismatch
@@ -48,38 +49,8 @@ class CamVolume:
 
 def trilinear_resize(data: np.ndarray, out_shape) -> np.ndarray:
     """Resample a 3D array onto a new grid (half-voxel aligned, edges clamped)."""
-    out_shape = tuple(out_shape)
-    coords = []
-    for axis, (n_in, n_out) in enumerate(zip(data.shape, out_shape)):
-        c = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
-        coords.append(np.clip(c, 0, n_in - 1))
-    gx, gy, gz = np.meshgrid(*coords, indexing="ij")
-
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
-    z0 = np.floor(gz).astype(np.int64)
-    x1 = np.minimum(x0 + 1, data.shape[0] - 1)
-    y1 = np.minimum(y0 + 1, data.shape[1] - 1)
-    z1 = np.minimum(z0 + 1, data.shape[2] - 1)
-    fx, fy, fz = gx - x0, gy - y0, gz - z0
-
-    out = (data[x0, y0, z0] * (1 - fx) * (1 - fy) * (1 - fz)
-           + data[x1, y0, z0] * fx * (1 - fy) * (1 - fz)
-           + data[x0, y1, z0] * (1 - fx) * fy * (1 - fz)
-           + data[x0, y0, z1] * (1 - fx) * (1 - fy) * fz
-           + data[x1, y0, z1] * fx * (1 - fy) * fz
-           + data[x0, y1, z1] * (1 - fx) * fy * fz
-           + data[x1, y1, z0] * fx * fy * (1 - fz)
-           + data[x1, y1, z1] * fx * fy * fz)
-    return out
-
-
-def block_average(data: np.ndarray, out_shape) -> np.ndarray:
-    """Inverse of integer-factor upsampling: mean over equal blocks."""
-    factors = [n // m for n, m in zip(data.shape, out_shape)]
-    view = data.reshape(out_shape[0], factors[0], out_shape[1], factors[1],
-                        out_shape[2], factors[2])
-    return view.mean(axis=(1, 3, 5))
+    factors = [n_out / n_in for n_in, n_out in zip(data.shape, out_shape)]
+    return ndimage.zoom(data, factors, order=1, grid_mode=True, mode="nearest")
 
 
 def grad_cam(model: Model, volume: Volume, target_class: int,

@@ -40,7 +40,7 @@ _STREAM_DROPOUT = 2
 _STREAM_AUGMENT = 3
 
 CHECKPOINT_MAGIC = b"SZDL"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,7 @@ def _array_index(model: Model, adam: Optional[AdamState]) -> list[tuple[str, str
 
 def save_checkpoint(model: Model, state: Optional[AdamState], history: Optional[TrainHistory],
                     path) -> None:
-    """Binary checkpoint: magic, version, JSON metadata, float32 LE arrays."""
+    """Binary checkpoint: magic, version, JSON metadata, arrays as LE model dtype."""
     entries = _array_index(model, state)
     meta = {
         "model_config": model.config.to_dict(),
@@ -411,7 +411,7 @@ def save_checkpoint(model: Model, state: Optional[AdamState], history: Optional[
         fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
         for _, _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=model.dtype.newbyteorder("<")).tobytes())
 
 
 def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHistory]]:
@@ -427,6 +427,7 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
     meta = json.loads(raw[16:header_end].decode("utf-8"))
 
     dtype = np.dtype(meta["dtype"])
+    stored = dtype.newbyteorder("<")
     config = ModelConfig.from_dict(meta["model_config"])
     model = build_model(config, seed=0, dtype=dtype)
     adam_meta = meta["adam"]
@@ -437,10 +438,11 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
     offset = header_end
     for entry in meta["arrays"]:
         shape = tuple(entry["shape"])
-        nbytes = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
+        count = int(np.prod(shape, dtype=np.int64))
+        nbytes = count * stored.itemsize
         if len(raw) < offset + nbytes:
             raise CorruptPayload(f"array {entry['name']} truncated")
-        arr = np.frombuffer(raw, dtype="<f4", count=nbytes // 4,
+        arr = np.frombuffer(raw, dtype=stored, count=count,
                             offset=offset).reshape(shape).astype(dtype)
         offset += nbytes
         role, name = entry["role"], entry["name"]
@@ -456,6 +458,8 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
             adam.v[name] = arr.copy()
         else:
             raise CorruptPayload(f"unknown array role {role!r}")
+    if offset != len(raw):
+        raise CorruptPayload(f"{len(raw) - offset} trailing bytes after the last array")
 
     history = None if meta["history"] is None else TrainHistory.from_dict(meta["history"])
     return model, adam, history

@@ -136,3 +136,11 @@ def youden_scan(scores, labels):
             if j > best_j + 1e-15 or best_t is None or t < best_t:
                 best_t, best_j = t, max(best_j, j)
     return best_t, best_j
+
+
+def block_average(data, out_shape):
+    """Inverse of integer-factor upsampling: mean over equal blocks."""
+    factors = [n // m for n, m in zip(data.shape, out_shape)]
+    view = data.reshape(out_shape[0], factors[0], out_shape[1], factors[1],
+                        out_shape[2], factors[2])
+    return view.mean(axis=(1, 3, 5))

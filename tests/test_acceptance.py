@@ -47,6 +47,8 @@ from szdl.train import (
 
 from oracles import auc_pair_count, conv3d_loops, matmul_loops, mean_loops
 
+pytestmark = pytest.mark.slow
+
 
 @contextmanager
 def criterion(number: int, description: str):

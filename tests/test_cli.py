@@ -62,6 +62,16 @@ class TestSynthAndSplit:
     def test_split_missing_manifest_is_data_error(self, tmp_path):
         assert run("split", tmp_path / "nope.json") == 2
 
+    @pytest.mark.parametrize("ratios", ["5,5,5", "5,x,5"])
+    def test_split_bad_ratios_is_config_error(self, tmp_path, capsys, ratios):
+        out = tmp_path / "data"
+        run("synth", "--out", out, "--count", 5, "--size", 16)
+        capsys.readouterr()
+        assert run("split", out / "manifest.json", "--ratios", ratios) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
+
 
 class TestEvalAndCompare:
     def test_eval_perfect_scores(self, tmp_path):

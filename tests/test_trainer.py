@@ -210,6 +210,26 @@ class TestCheckpoint:
         with pytest.raises(CorruptPayload):
             load_checkpoint(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        model = build_model(ModelConfig(input_extent=16, width_scale=1 / 8, se_ratio=4,
+                                        classifier_dims=(8, 4)), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, None, None, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(CorruptPayload):
+            load_checkpoint(path)
+
+    def test_float64_round_trip_bit_exact(self, tmp_path):
+        model = build_model(ModelConfig(input_extent=16, width_scale=1 / 8, se_ratio=4,
+                                        classifier_dims=(8, 4)), seed=0, dtype=np.float64)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, None, None, path)
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.dtype == np.float64
+        for p, q in zip(model.parameters(), loaded.parameters()):
+            assert q.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, q.data)
+
     def test_resume_steps_identically(self, small_dataset, tmp_path):
         # saved Adam state resumes exactly: one manual step after load matches
         # one manual step without the round trip
