@@ -58,7 +58,8 @@ def grad_cam(model: Model, volume: Volume, target_class: int,
     """Class-activation volume for one scan against one target class.
 
     Runs eval-mode (running BN statistics, no dropout) with gradients
-    recorded; nothing in the model is mutated.
+    recorded; nothing in the model is mutated.  The backward pass computes
+    activation gradients only: every parameter's ``.grad`` is left as found.
     """
     if target_class not in (0, 1):
         raise ValueError(f"target_class must be 0 or 1, got {target_class}")
@@ -71,7 +72,15 @@ def grad_cam(model: Model, volume: Volume, target_class: int,
     result = model.apply(x, mode="eval", tape=tape)
     head = result.probs if use_probability else result.logits
     score = ops.take(head, (0, target_class), tape=tape)
-    backward(tape, score)
+    params = model.parameters()
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        backward(tape, score)
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
 
     features = result.features
     grads = features.grad[0]            # [C, d, d, d]

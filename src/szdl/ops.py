@@ -2,10 +2,13 @@
 
 All kernels take and return :class:`~szdl.tensor.Tensor` and optionally
 record themselves on a :class:`~szdl.tensor.Tape`.  Convolution is
-computed per sample via an im2col buffer that is cached on the tape node,
-so the backward pass reuses it for the weight gradient and reconstructs
-the input gradient with 27 shifted slice-adds instead of a second
-materialization.
+computed per sample as one GEMM over an im2col buffer.  The buffer is
+dropped after the forward GEMM, not cached on the tape: the backward pass
+rebuilds it only when the weight gradient is needed, and reconstructs the
+input gradient with 27 shifted slice-adds instead of a second
+materialization.  Trading that recomputation for memory (Chen et al. 2016,
+"Training Deep Nets with Sublinear Memory Cost") keeps the tape from
+holding a 27x copy of every convolution input.
 
 Statistical reductions (means, variances, sums feeding scalars) run in
 64-bit accumulators regardless of the engine dtype; BLAS contractions
@@ -48,15 +51,15 @@ def _im2col(sample: np.ndarray, k: int, pad: int) -> np.ndarray:
     return np.ascontiguousarray(win).reshape(c * k * k * k, spatial)
 
 
-def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1,
+def conv3d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1,
            tape: Tape | None = None) -> Tensor:
     """3D cross-correlation with cubic kernel, zero padding, stride 1.
 
     ``x`` is [N, Cin, D, H, W], ``w`` is [Cout, Cin, k, k, k], ``b`` is
-    [Cout].  Spatial extents are preserved when ``pad = (k-1)/2``.
+    [Cout].  Spatial extents are preserved when ``pad = (k-1)/2``.  Each
+    sample's im2col buffer lives only for its forward GEMM; backward
+    rebuilds it for the weight gradient, so the tape keeps no copy.
     """
-    if stride != 1:
-        raise ShapeMismatch("only stride 1 is supported")
     if x.data.ndim != 5 or w.data.ndim != 5:
         raise ShapeMismatch(f"conv3d expects 5-d input/kernel, got {x.shape}/{w.shape}")
     n, cin, d, h, wd = x.shape
@@ -74,12 +77,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1,
 
     w_mat = w.data.reshape(cout, cin * k * k * k)
     out = np.empty((n, cout, do, ho, wo), dtype=x.dtype)
-    cols = []
     for i in range(n):
-        col = _im2col(x.data[i], k, pad)
-        out[i] = (w_mat @ col).reshape(cout, do, ho, wo) + b.data[:, None, None, None]
-        if tape is not None:
-            cols.append(col)
+        np.add((w_mat @ _im2col(x.data[i], k, pad)).reshape(cout, do, ho, wo),
+               b.data[:, None, None, None], out=out[i])
 
     result = Tensor(out)
     if tape is not None:
@@ -92,13 +92,14 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1,
             for i in range(n):
                 g = grad[i].reshape(cout, do * ho * wo)
                 if need_w:
-                    dw_mat += g @ cols[i].T
+                    dw_mat += g @ _im2col(x.data[i], k, pad).T
                 if need_x:
                     colgrad = (w_mat.T @ g).reshape(cin, k, k, k, do, ho, wo)
                     for a in range(k):
                         for bb in range(k):
                             for c in range(k):
                                 dx[i, :, a:a + do, bb:bb + ho, c:c + wo] += colgrad[:, a, bb, c]
+                    del colgrad  # free before the next sample's buffers
             if need_x:
                 dx = np.ascontiguousarray(dx[:, :, pad:pad + d, pad:pad + h, pad:pad + wd])
             db = _reduce(grad, (0, 2, 3, 4), x.dtype) if need_b else None
@@ -116,16 +117,13 @@ _POOL_FWD_PERM = (0, 1, 2, 4, 6, 3, 5, 7)
 _POOL_INV_PERM = (0, 1, 2, 5, 3, 6, 4, 7)
 
 
-def maxpool3d(x: Tensor, kernel: int = 2, stride: int = 2,
-              tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
+def maxpool3d(x: Tensor, tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
     """Disjoint 2x2x2 max pooling; returns the pooled tensor and the argmax.
 
     The argmax stores each block's winning local index (ties resolved to
     the lowest linear index), and the backward pass routes the gradient
     only there.
     """
-    if kernel != 2 or stride != 2:
-        raise ShapeMismatch("only kernel 2 / stride 2 pooling is supported")
     n, c, d, h, w = x.shape
     if d % 2 or h % 2 or w % 2:
         raise OddExtent(f"spatial extents {(d, h, w)} must be even")
@@ -230,18 +228,19 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNStat
         if count < 2:
             raise DegenerateBatch("train-mode batchnorm needs >= 2 elements per channel")
         mean = x.data.mean(axis=(0, 2, 3, 4), dtype=np.float64)
-        xc = x.data - mean[None, :, None, None, None].astype(x.dtype)
-        var = np.square(xc, dtype=np.float64).mean(axis=(0, 2, 3, 4), dtype=np.float64)
+        xhat = x.data - mean[None, :, None, None, None].astype(x.dtype)  # centred
+        var = np.square(xhat, dtype=np.float64).mean(axis=(0, 2, 3, 4), dtype=np.float64)
         istd = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
-        xhat = xc * istd[None, :, None, None, None]
         state.mean[...] = (1 - momentum) * state.mean + momentum * mean.astype(state.mean.dtype)
         state.var[...] = (1 - momentum) * state.var + momentum * var.astype(state.var.dtype)
     else:
         istd = (1.0 / np.sqrt(state.var.astype(np.float64) + eps)).astype(x.dtype)
-        xhat = (x.data - state.mean.astype(x.dtype)[None, :, None, None, None]) \
-            * istd[None, :, None, None, None]
+        xhat = x.data - state.mean.astype(x.dtype)[None, :, None, None, None]
+    istd5 = istd[None, :, None, None, None]
+    xhat *= istd5
 
-    out = gamma.data[None, :, None, None, None] * xhat + beta.data[None, :, None, None, None]
+    out = gamma.data[None, :, None, None, None] * xhat
+    out += beta.data[None, :, None, None, None]
     result = Tensor(out)
 
     if tape is not None:
@@ -251,17 +250,15 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNStat
             dbeta = _reduce(grad, (0, 2, 3, 4), x.dtype) if need_beta else None
             dx = None
             if need_x:
-                dxhat = grad * gamma.data[None, :, None, None, None]
+                # istd * (dxhat - m1 - xhat * m2) in train mode, dxhat * istd in
+                # eval mode, each step in place on dx (starting as dxhat)
+                dx = grad * gamma.data[None, :, None, None, None]
                 if mode == "train":
-                    m1 = dxhat.mean(axis=(0, 2, 3, 4), dtype=np.float64).astype(x.dtype)
-                    m2 = (dxhat * xhat).mean(axis=(0, 2, 3, 4), dtype=np.float64).astype(x.dtype)
-                    dx = istd[None, :, None, None, None] * (
-                        dxhat
-                        - m1[None, :, None, None, None]
-                        - xhat * m2[None, :, None, None, None]
-                    )
-                else:
-                    dx = dxhat * istd[None, :, None, None, None]
+                    m1 = dx.mean(axis=(0, 2, 3, 4), dtype=np.float64).astype(x.dtype)
+                    m2 = (dx * xhat).mean(axis=(0, 2, 3, 4), dtype=np.float64).astype(x.dtype)
+                    dx -= m1[None, :, None, None, None]
+                    dx -= xhat * m2[None, :, None, None, None]
+                dx *= istd5
             return dx, dgamma, dbeta
 
         tape.record(result, (x, gamma, beta), bwd)

@@ -435,29 +435,32 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
         model.parameters(), t=adam_meta["t"], beta1=adam_meta["beta1"],
         beta2=adam_meta["beta2"], eps=adam_meta["eps"])
 
+    # every array the model (and Adam, if saved) needs, exactly once, in its shape
+    expected = {(role, name): arr for role, name, arr in _array_index(model, adam)}
+    loaded = set()
     offset = header_end
     for entry in meta["arrays"]:
+        key = (entry["role"], entry["name"])
         shape = tuple(entry["shape"])
+        if key not in expected:
+            raise CorruptPayload(f"unexpected array {key[0]} {key[1]!r}")
+        if key in loaded:
+            raise CorruptPayload(f"array {key[0]} {key[1]!r} appears twice")
+        if shape != expected[key].shape:
+            raise CorruptPayload(f"array {key[0]} {key[1]!r} has shape {shape}, "
+                                 f"the model needs {expected[key].shape}")
         count = int(np.prod(shape, dtype=np.int64))
         nbytes = count * stored.itemsize
         if len(raw) < offset + nbytes:
             raise CorruptPayload(f"array {entry['name']} truncated")
-        arr = np.frombuffer(raw, dtype=stored, count=count,
-                            offset=offset).reshape(shape).astype(dtype)
+        expected[key][...] = np.frombuffer(raw, dtype=stored, count=count,
+                                           offset=offset).reshape(shape)
+        loaded.add(key)
         offset += nbytes
-        role, name = entry["role"], entry["name"]
-        if role == "param":
-            model.params[name].data = arr.copy()
-        elif role == "bn_mean":
-            model.bn_states[name].mean = arr.copy()
-        elif role == "bn_var":
-            model.bn_states[name].var = arr.copy()
-        elif role == "adam_m":
-            adam.m[name] = arr.copy()
-        elif role == "adam_v":
-            adam.v[name] = arr.copy()
-        else:
-            raise CorruptPayload(f"unknown array role {role!r}")
+    missing = sorted(expected.keys() - loaded)
+    if missing:
+        raise CorruptPayload(f"{len(missing)} arrays missing, first {missing[0][0]} "
+                             f"{missing[0][1]!r}")
     if offset != len(raw):
         raise CorruptPayload(f"{len(raw) - offset} trailing bytes after the last array")
 

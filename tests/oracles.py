@@ -144,3 +144,35 @@ def block_average(data, out_shape):
     view = data.reshape(out_shape[0], factors[0], out_shape[1], factors[1],
                         out_shape[2], factors[2])
     return view.mean(axis=(1, 3, 5))
+
+
+def batchnorm_input_grad(x, gamma, grad, mode, mean, var, eps=1e-5):
+    """Closed-form batch-norm input gradient, one out-of-place expression per step.
+
+    Train mode normalizes with the batch statistics of ``x`` (``mean`` and
+    ``var`` are ignored) and returns ``istd * (dxhat - m1 - xhat * m2)`` with
+    ``m1 = mean(dxhat)`` and ``m2 = mean(dxhat * xhat)`` per channel; eval mode
+    normalizes with the given running statistics and returns
+    ``dxhat * istd``.  Every step rounds in the same order as the kernel, so
+    the two agree bit for bit.
+    """
+    axes = (0, 2, 3, 4)
+
+    def c5(v):
+        return v[None, :, None, None, None]
+
+    if mode == "train":
+        batch_mean = x.mean(axis=axes, dtype=np.float64)
+        xc = x - c5(batch_mean.astype(x.dtype))
+        batch_var = np.square(xc, dtype=np.float64).mean(axis=axes, dtype=np.float64)
+        istd = (1.0 / np.sqrt(batch_var + eps)).astype(x.dtype)
+        xhat = xc * c5(istd)
+    else:
+        istd = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(x.dtype)
+        xhat = (x - c5(mean.astype(x.dtype))) * c5(istd)
+    dxhat = grad * c5(gamma)
+    if mode == "eval":
+        return dxhat * c5(istd)
+    m1 = dxhat.mean(axis=axes, dtype=np.float64).astype(x.dtype)
+    m2 = (dxhat * xhat).mean(axis=axes, dtype=np.float64).astype(x.dtype)
+    return c5(istd) * (dxhat - c5(m1) - xhat * c5(m2))

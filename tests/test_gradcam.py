@@ -76,6 +76,31 @@ class TestGradCam:
             checked += 1
         assert checked >= 3
 
+    def test_parameter_gradients_untouched(self):
+        model = toy_model(seed=2)
+        volume = random_volume(seed=2)
+        rng = np.random.default_rng(2)
+        for p in model.parameters():
+            p.grad = rng.standard_normal(p.shape).astype(p.dtype)
+        before = {p.name: p.grad.copy() for p in model.parameters()}
+
+        cam = grad_cam(model, volume, target_class=1)
+        for p in model.parameters():
+            assert p.requires_grad
+            assert np.array_equal(p.grad, before[p.name]), p.name
+
+        # the same map as a full backward that also computes parameter gradients
+        tape = Tape()
+        result = model.apply(Tensor(volume.data[None, None]), mode="eval", tape=tape)
+        backward(tape, ops.take(result.logits, (0, 1), tape=tape))
+        weights = result.features.grad[0].mean(axis=(1, 2, 3), dtype=np.float64)
+        raw = np.maximum(np.tensordot(weights, result.features.data[0].astype(np.float64),
+                                      axes=(0, 0)), 0.0)
+        assert raw.any() and not cam.degenerate
+        full = trilinear_resize(raw, cam.extents)
+        expected = ((full - full.min()) / (full.max() - full.min())).astype(np.float32)
+        assert np.array_equal(cam.values, expected)
+
     def test_blocked_gradient_path_degenerates(self):
         model = toy_model()
         # zero fc1 weights with positive bias: classifier output no longer

@@ -1,5 +1,7 @@
 """Reverse-mode gradients checked against central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from szdl import ops
 from szdl.errors import DetachedOutput
 from szdl.tensor import Parameter, Tape, Tensor, backward
 
-from oracles import fd_check
+from oracles import batchnorm_input_grad, fd_check
 
 
 def leaf(rng, shape):
@@ -134,6 +136,26 @@ class TestKernelGradients:
         backward(tape, out, seed=direction)
         fd_check(f, [(x.data, x.grad), (gamma.data, gamma.grad), (beta.data, beta.grad)], rng)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batchnorm_input_grad_bit_equals_closed_form(self, mode, dtype):
+        rng = np.random.default_rng(17)
+        x = Tensor((rng.standard_normal((2, 3, 4, 5, 6)) * 3 + 1).astype(dtype),
+                   requires_grad=True)
+        gamma = Parameter("gamma", rng.standard_normal(3).astype(dtype))
+        beta = Parameter("beta", rng.standard_normal(3).astype(dtype))
+        mean = rng.standard_normal(3).astype(dtype)
+        var = (np.abs(rng.standard_normal(3)) + 0.5).astype(dtype)
+        grad = rng.standard_normal(x.shape).astype(dtype)
+
+        tape = Tape()
+        out = ops.batchnorm3d(x, gamma, beta, mode, ops.BNState(mean.copy(), var.copy()),
+                              tape=tape)
+        backward(tape, out, seed=grad)
+        expected = batchnorm_input_grad(x.data, gamma.data, grad, mode, mean, var)
+        assert x.grad.dtype == expected.dtype == dtype
+        assert np.array_equal(x.grad, expected)
+
     def test_global_avg_pool(self):
         rng = np.random.default_rng(14)
         x = leaf(rng, (2, 3, 3, 3, 3))
@@ -242,3 +264,27 @@ class TestKernelGradients:
         out = ops.channel_scale(x, gate, tape=tape)
         backward(tape, out, seed=direction)
         fd_check(f, [(x.data, x.grad), (gate.data, gate.grad)], rng)
+
+
+class TestTapeMemory:
+    def test_conv3d_tape_holds_no_im2col(self):
+        # the column matrix of one sample, [Cin*27, D*H*W] in float32: ~12 MB
+        cin, cout, extent = 8, 8, 24
+        im2col_bytes = cin * 27 * extent ** 3 * 4
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((1, cin, extent, extent, extent)).astype(np.float32))
+        w = Parameter("w", (0.1 * rng.standard_normal((cout, cin, 3, 3, 3))).astype(np.float32))
+        b = Parameter("b", np.zeros(cout, dtype=np.float32))
+
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tape = Tape()
+            out = ops.conv3d(x, w, b, tape=tape)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held - out.data.nbytes < im2col_bytes / 10
+
+        backward(tape, out, seed=np.ones_like(out.data))
+        assert np.abs(w.grad).sum() > 0  # the weight gradient rebuilds the buffer

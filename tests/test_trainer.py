@@ -219,6 +219,79 @@ class TestCheckpoint:
         with pytest.raises(CorruptPayload):
             load_checkpoint(path)
 
+    @staticmethod
+    def _edited_checkpoint(tmp_path, edit, adam=False):
+        """Save a 16^3, width-1/8, seed-3 model, then rewrite its array index.
+
+        ``edit(meta, arrays)`` changes the metadata and the list of
+        ``[entry, payload bytes]`` pairs in place; the file is written back
+        with the edited index and the payloads in list order.
+        """
+        import json
+        import struct
+        model = build_model(ModelConfig(input_extent=16, width_scale=1 / 8, se_ratio=4,
+                                        classifier_dims=(8, 4)), seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, AdamState.for_params(model.parameters()) if adam else None,
+                        None, path)
+        blob = path.read_bytes()
+        _, meta_len = struct.unpack_from("<IQ", blob, 4)
+        meta = json.loads(blob[16:16 + meta_len])
+        arrays, offset = [], 16 + meta_len
+        for entry in meta["arrays"]:
+            nbytes = 4 * int(np.prod(entry["shape"], dtype=np.int64))
+            arrays.append([entry, blob[offset:offset + nbytes]])
+            offset += nbytes
+        edit(meta, arrays)
+        meta["arrays"] = [entry for entry, _ in arrays]
+        head = json.dumps(meta).encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<IQ", 2, len(head)) + head
+                         + b"".join(payload for _, payload in arrays))
+        return path, model
+
+    def test_unedited_index_loads(self, tmp_path):
+        path, model = self._edited_checkpoint(tmp_path, lambda meta, arrays: None)
+        loaded, _, _ = load_checkpoint(path)
+        for p, q in zip(model.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
+
+    def test_missing_array(self, tmp_path):
+        def drop(meta, arrays):
+            arrays[:] = [a for a in arrays if a[0]["name"] != "block1.conv1.weight"]
+        path, _ = self._edited_checkpoint(tmp_path, drop)
+        with pytest.raises(CorruptPayload, match="missing"):
+            load_checkpoint(path)
+
+    def test_duplicate_array(self, tmp_path):
+        def repeat(meta, arrays):
+            arrays.append(next(a for a in arrays if a[0]["name"] == "block1.conv1.bias"))
+        path, _ = self._edited_checkpoint(tmp_path, repeat)
+        with pytest.raises(CorruptPayload, match="twice"):
+            load_checkpoint(path)
+
+    def test_unknown_name(self, tmp_path):
+        def add(meta, arrays):
+            arrays.append([{"role": "param", "name": "block9.conv1.bias", "shape": [2]},
+                           b"\x00" * 8])
+        path, _ = self._edited_checkpoint(tmp_path, add)
+        with pytest.raises(CorruptPayload, match="unexpected"):
+            load_checkpoint(path)
+
+    def test_shape_differs(self, tmp_path):
+        def reshape(meta, arrays):
+            entry = next(a[0] for a in arrays if a[0]["name"] == "block1.conv1.bias")
+            entry["shape"] = [1] + entry["shape"]  # same byte count, wrong shape
+        path, _ = self._edited_checkpoint(tmp_path, reshape)
+        with pytest.raises(CorruptPayload, match="shape"):
+            load_checkpoint(path)
+
+    def test_adam_arrays_without_adam_metadata(self, tmp_path):
+        def drop_adam(meta, arrays):
+            meta["adam"] = None
+        path, _ = self._edited_checkpoint(tmp_path, drop_adam, adam=True)
+        with pytest.raises(CorruptPayload, match="adam_m"):
+            load_checkpoint(path)
+
     def test_float64_round_trip_bit_exact(self, tmp_path):
         model = build_model(ModelConfig(input_extent=16, width_scale=1 / 8, se_ratio=4,
                                         classifier_dims=(8, 4)), seed=0, dtype=np.float64)
