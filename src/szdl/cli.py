@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .phantom import PhantomSpec, synthesize_dataset
 from .tensor import Tape, Tensor, backward
 from .train import (
     TrainConfig,
+    VolumeCache,
     fit,
     load_checkpoint,
     run_generalization,
@@ -94,11 +96,12 @@ def read_scores_csv(path) -> ScoredSet:
         raise DataError(f"{path}: expected header subject_id,score,label")
     ids, scores, labels = [], [], []
     for row in rows[1:]:
-        if len(row) < 3:
-            raise DataError(f"{path}: malformed row {row!r}")
+        try:
+            scores.append(float(row[1]))
+            labels.append(int(row[2]))
+        except (IndexError, ValueError):
+            raise DataError(f"{path}: malformed row {row!r}") from None
         ids.append(row[0])
-        scores.append(float(row[1]))
-        labels.append(int(row[2]))
     return ScoredSet(np.array(scores), np.array(labels), subject_ids=tuple(ids))
 
 
@@ -131,10 +134,12 @@ def _align_score_files(a: ScoredSet, b: ScoredSet) -> tuple[np.ndarray, np.ndarr
 
 def _delong_block(a: ScoredSet, b: ScoredSet) -> dict:
     sa, sb, labels = _align_score_files(a, b)
-    r = delong_test(sa, sb, labels)
-    return {"auc_a": r.auc_a, "auc_b": r.auc_b, "variance": r.variance,
-            "z": r.z, "p_value": r.p_value, "p_one_sided": r.p_one_sided,
-            "degenerate": r.degenerate, "n": int(len(labels))}
+    return {**asdict(delong_test(sa, sb, labels)), "n": int(len(labels))}
+
+
+def _data_root(args) -> Path:
+    """Where relative scan paths resolve: --data-root, else the manifest's directory."""
+    return Path(args.data_root) if args.data_root else Path(args.manifest).parent
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +178,19 @@ def cmd_train(args) -> int:
     if args.workers is not None:
         config = TrainConfig.from_dict({**config.to_dict(), "workers": args.workers})
     records = load_manifest(args.manifest)
-    data_root = Path(args.data_root) if args.data_root else Path(args.manifest).parent
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.hold_out_site:
         result = run_generalization(config, records, args.hold_out_site,
-                                    data_root=data_root)
+                                    data_root=_data_root(args))
         model, adam, history = result["model"], result["adam"], result["history"]
         (out / "generalization_report.json").write_text(
             json.dumps(result["report"], indent=2) + "\n")
         write_scores_csv(result["scored"], out / "test_scores.csv")
         save_manifest(result["records"], out / "manifest_holdout.json")
     else:
-        model, adam, history = fit(config, records, data_root=data_root)
+        model, adam, history = fit(config, records, data_root=_data_root(args))
 
     save_checkpoint(model, adam, history, out / "model.ckpt")
     (out / "history.csv").write_text(history.to_csv())
@@ -208,8 +212,7 @@ def cmd_eval(args) -> int:
         records = [r for r in load_manifest(args.manifest) if r.split == args.split]
         if not records:
             raise DataError(f"manifest has no records in split {args.split!r}")
-        data_root = Path(args.data_root) if args.data_root else Path(args.manifest).parent
-        scored = score_records(model, records, data_root=data_root)
+        scored = score_records(model, records, data_root=_data_root(args))
         write_scores_csv(scored, out / "scores.csv")
     else:
         raise ConfigError("eval needs either --scores or --checkpoint with --manifest")
@@ -250,11 +253,8 @@ def cmd_cam(args) -> int:
                    if r.split == args.split and r.label == args.target_class]
         if not records:
             raise DataError(f"no class-{args.target_class} records in split {args.split!r}")
-        data_root = Path(args.data_root) if args.data_root else Path(args.manifest).parent
-        volumes = []
-        for rec in records:
-            path = Path(rec.scan_path)
-            volumes.append(load_volume(path if path.is_absolute() else data_root / path))
+        cache = VolumeCache(_data_root(args))
+        volumes = [cache.get(r) for r in records]
 
     cams = [grad_cam(model, vol, args.target_class) for vol in volumes]
     averaged = average_cam(cams)

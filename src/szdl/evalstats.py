@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
-from .errors import MisalignedInputs, SingleClass, TooFewCases
+from .errors import DataError, MisalignedInputs, SingleClass, TooFewCases
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class ScoredSet:
             raise MisalignedInputs("subject_ids length differs from scores")
         if not np.isin(self.labels, (0, 1)).all():
             raise MisalignedInputs("labels must be 0 or 1")
+        if not np.isfinite(self.scores).all():
+            raise DataError(f"{int((~np.isfinite(self.scores)).sum())} scores are not finite")
 
     def require_both_classes(self) -> None:
         if not (self.labels == 1).any() or not (self.labels == 0).any():
@@ -51,16 +53,6 @@ class RocPoint:
     threshold: float
     fpr: float
     tpr: float
-
-
-@dataclass(frozen=True)
-class RocSummary:
-    points: tuple[RocPoint, ...]
-    auc: float
-    operating_threshold: float
-    accuracy: Optional[float]
-    sensitivity: Optional[float]
-    specificity: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -122,13 +114,6 @@ def auc(scored: ScoredSet) -> float:
     return float((greater + 0.5 * ties) / (len(pos) * len(neg)))
 
 
-def trapezoid_area(points) -> float:
-    total = 0.0
-    for a, b in zip(points, points[1:]):
-        total += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2
-    return total
-
-
 def metrics_at(scored: ScoredSet, threshold: float) -> ThresholdMetrics:
     """Accuracy / sensitivity / specificity with predictions score >= threshold."""
     predicted = scored.scores >= threshold
@@ -156,16 +141,6 @@ def operating_point(points) -> float:
             best_j = j
             best_threshold = point.threshold
     return float(best_threshold)
-
-
-def summarize(scored: ScoredSet, report_threshold: float = 0.5) -> RocSummary:
-    """Full ROC summary with metrics at the default reporting threshold."""
-    points = roc_curve(scored)
-    metrics = metrics_at(scored, report_threshold)
-    return RocSummary(points=points, auc=auc(scored),
-                      operating_threshold=operating_point(points),
-                      accuracy=metrics.accuracy, sensitivity=metrics.sensitivity,
-                      specificity=metrics.specificity)
 
 
 def report_dict(scored: ScoredSet, report_threshold: float = 0.5) -> dict:

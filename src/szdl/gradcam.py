@@ -6,13 +6,13 @@ input, so there the source is block 5, the last convolution block; on
 smaller inputs a deeper but coarser map would have almost every cell
 touching the convolutions' zero padding, and a shallower block is used.
 
-The target-class score (the pre-softmax logit by default) is
-backpropagated to the source layer's activations; each channel
-is weighted by the spatial mean of its gradient, the weighted sum passes
-through ReLU so only positively contributing voxels survive, and the
-coarse map is trilinearly upsampled to the input grid and min-max
-normalized to [0, 1].  An all-zero raw map short-circuits to an all-zero
-CAM with a degenerate flag instead of dividing by zero.
+The target class's pre-softmax logit is backpropagated to the source
+layer's activations; each channel is weighted by the spatial mean of its
+gradient, the weighted sum passes through ReLU so only positively
+contributing voxels survive, and the coarse map is trilinearly upsampled
+to the input grid and min-max normalized to [0, 1].  An all-zero raw map
+short-circuits to an all-zero CAM with a degenerate flag instead of
+dividing by zero.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ def trilinear_resize(data: np.ndarray, out_shape) -> np.ndarray:
     return ndimage.zoom(data, factors, order=1, grid_mode=True, mode="nearest")
 
 
-def grad_cam(model: Model, volume: Volume, target_class: int,
-             use_probability: bool = False) -> CamVolume:
+def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
     """Class-activation volume for one scan against one target class.
 
     Runs eval-mode (running BN statistics, no dropout) with gradients
@@ -70,8 +69,7 @@ def grad_cam(model: Model, volume: Volume, target_class: int,
     x = Tensor(volume.data[None, None].astype(model.dtype))
     tape = Tape()
     result = model.apply(x, mode="eval", tape=tape)
-    head = result.probs if use_probability else result.logits
-    score = ops.take(head, (0, target_class), tape=tape)
+    score = ops.take(result.logits, (0, target_class), tape=tape)
     params = model.parameters()
     flags = [p.requires_grad for p in params]
     for p in params:

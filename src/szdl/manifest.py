@@ -136,11 +136,3 @@ def hold_out_site(records: list[ScanRecord], site: str, seed: int = 0) -> list[S
     rest = [replace(rec, split="unassigned") for rec in records if rec.site != site]
     rest = assign_splits(rest, ratios=(9, 1, 0), seed=seed)
     return held + rest
-
-
-def split_subjects(records: list[ScanRecord]) -> dict[str, set[str]]:
-    """Subject-id sets per split, for leakage checks and reporting."""
-    out: dict[str, set[str]] = {s: set() for s in SPLITS}
-    for rec in records:
-        out[rec.split].add(rec.subject_id)
-    return out

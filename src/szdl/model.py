@@ -26,7 +26,6 @@ import numpy as np
 
 from . import ops
 from .errors import BadInputExtent, IndivisibleSERatio, ShapeMismatch
-from .nifti import Volume
 from .ops import BNState
 from .tensor import Parameter, Tape, Tensor
 
@@ -346,18 +345,3 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     add_dense("classifier.fc3", h2, config.num_classes)
     model.layers.append(LayerInfo("softmax", "classifier.softmax"))
     return model
-
-
-def parameter_count(model: Model) -> int:
-    return sum(p.data.size for p in model.params.values())
-
-
-def predict_likelihood(model: Model, volume: Volume) -> float:
-    """Eval-mode softmax probability of the schizophrenia class for one scan."""
-    extent = model.config.input_extent
-    if volume.extents not in ((extent,) * 3, (2 * extent,) * 3):
-        raise ShapeMismatch(f"volume extents {volume.extents} match neither "
-                            f"{extent}^3 nor {2 * extent}^3")
-    x = Tensor(volume.data[None, None].astype(model.dtype))
-    probs = model.forward(x, mode="eval")
-    return float(probs.data[0, 1])

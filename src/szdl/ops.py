@@ -332,18 +332,6 @@ def softmax(x: Tensor, tape: Tape | None = None) -> Tensor:
     return result
 
 
-_ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "softmax": softmax}
-
-
-def activation(x: Tensor, kind: str, tape: Tape | None = None) -> Tensor:
-    """Dispatch to relu / sigmoid / softmax-over-last-axis."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(x, tape=tape)
-
-
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None,
             tape: Tape | None = None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
@@ -431,40 +419,6 @@ def channel_scale(x: Tensor, gate: Tensor, tape: Tape | None = None) -> Tensor:
             return dx, dgate
 
         tape.record(result, (x, gate), bwd)
-    return result
-
-
-def mul(x: Tensor, y: Tensor, tape: Tape | None = None) -> Tensor:
-    if x.shape != y.shape:
-        raise ShapeMismatch(f"elementwise shapes differ: {x.shape} vs {y.shape}")
-    result = Tensor(x.data * y.data)
-    if tape is not None:
-        def bwd(grad, needs):
-            dx = grad * y.data if needs[0] else None
-            dy = grad * x.data if needs[1] else None
-            return dx, dy
-
-        tape.record(result, (x, y), bwd)
-    return result
-
-
-def scale(x: Tensor, factor: float, tape: Tape | None = None) -> Tensor:
-    result = Tensor(x.data * np.asarray(factor, dtype=x.dtype))
-    if tape is not None:
-        def bwd(grad, needs):
-            return (grad * np.asarray(factor, dtype=x.dtype),)
-
-        tape.record(result, (x,), bwd)
-    return result
-
-
-def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
-    result = Tensor(x.data.sum(dtype=np.float64))
-    if tape is not None:
-        def bwd(grad, needs):
-            return (np.full(x.shape, float(grad), dtype=x.dtype),)
-
-        tape.record(result, (x,), bwd)
     return result
 
 

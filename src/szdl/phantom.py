@@ -58,14 +58,16 @@ def _normalized_grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.meshgrid(axis, axis, axis, indexing="ij")
 
 
+def _ellipsoid_r2(coords, center, semi):
+    """Squared normalized radius sum(((g - c) / r) ** 2): at most 1 inside the ellipsoid."""
+    return sum(((g - c) / r) ** 2 for g, c, r in zip(coords, center, semi))
+
+
 def _compose(size: int, grow: float, brain_scale, offset, cavity_scale,
              separation) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free phantom geometry; returns (values, cavity mask)."""
-    gx, gy, gz = _normalized_grid(size)
-    bs = _BRAIN_SEMI * brain_scale
-    r2_brain = (((gx - offset[0]) / bs[0]) ** 2
-                + ((gy - offset[1]) / bs[1]) ** 2
-                + ((gz - offset[2]) / bs[2]) ** 2)
+    grid = _normalized_grid(size)
+    r2_brain = _ellipsoid_r2(grid, offset, _BRAIN_SEMI * brain_scale)
 
     values = np.zeros((size,) * 3, dtype=np.float64)
     inside = r2_brain <= 1.0
@@ -74,11 +76,8 @@ def _compose(size: int, grow: float, brain_scale, offset, cavity_scale,
     cavity = np.zeros((size,) * 3, dtype=bool)
     cs = _CAVITY_SEMI * cavity_scale * grow
     for sign in (-1.0, 1.0):
-        cx = sign * separation + offset[0]
-        r2 = (((gx - cx) / cs[0]) ** 2
-              + ((gy - offset[1]) / cs[1]) ** 2
-              + ((gz - offset[2]) / cs[2]) ** 2)
-        cavity |= r2 <= 1.0
+        center = (sign * separation + offset[0], offset[1], offset[2])
+        cavity |= _ellipsoid_r2(grid, center, cs) <= 1.0
     values[cavity] = _CAVITY_DARK
     return values, cavity & inside
 
@@ -143,19 +142,13 @@ def _paint_blobs(values: np.ndarray, cavity: np.ndarray, blobs: list[tuple],
     """
     if not blobs:
         return
-    gx, gy, gz = _normalized_grid(size)
+    grid = _normalized_grid(size)
     guard = _CAVITY_SEMI * 2.2 + 0.10
     for center, semi, factor in blobs:
-        near_cavity = any(
-            ((center[0] - sign * _CAVITY_OFFSET) / guard[0]) ** 2
-            + (center[1] / guard[1]) ** 2 + (center[2] / guard[2]) ** 2 <= 1.0
-            for sign in (-1.0, 1.0))
-        if near_cavity:
+        if any(_ellipsoid_r2(center, (sign * _CAVITY_OFFSET, 0.0, 0.0), guard) <= 1.0
+               for sign in (-1.0, 1.0)):
             continue
-        r2 = (((gx - center[0]) / semi[0]) ** 2
-              + ((gy - center[1]) / semi[1]) ** 2
-              + ((gz - center[2]) / semi[2]) ** 2)
-        mask = (r2 <= 1.0) & ~cavity & (values > _CAVITY_DARK)
+        mask = (_ellipsoid_r2(grid, center, semi) <= 1.0) & ~cavity & (values > _CAVITY_DARK)
         values[mask] *= factor
 
 
@@ -166,22 +159,13 @@ def cavity_roi(spec: PhantomSpec, label: int = 1, margin_voxels: float = 0.0) ->
     giving the dilated region-of-interest used by the CAM localization
     score.
     """
-    gx, gy, gz = _normalized_grid(spec.size)
+    grid = _normalized_grid(spec.size)
     margin = 2.0 * margin_voxels / (spec.size - 1)
     cs = _CAVITY_SEMI * (1.0 + spec.effect_size * label) + margin
     mask = np.zeros((spec.size,) * 3, dtype=bool)
     for sign in (-1.0, 1.0):
-        r2 = (((gx - sign * _CAVITY_OFFSET) / cs[0]) ** 2
-              + (gy / cs[1]) ** 2
-              + (gz / cs[2]) ** 2)
-        mask |= r2 <= 1.0
+        mask |= _ellipsoid_r2(grid, (sign * _CAVITY_OFFSET, 0.0, 0.0), cs) <= 1.0
     return mask
-
-
-def central_region(size: int) -> np.ndarray:
-    """Boolean mask of the central half-extent box (cavity neighborhood)."""
-    gx, gy, gz = _normalized_grid(size)
-    return (np.abs(gx) < 0.5) & (np.abs(gy) < 0.5) & (np.abs(gz) < 0.5)
 
 
 def subject_spec(base: PhantomSpec, label: int, index: int) -> PhantomSpec:

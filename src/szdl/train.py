@@ -28,8 +28,8 @@ from .errors import (
     SingleClassSplit,
     VersionMismatch,
 )
-from .evalstats import ScoredSet, auc
-from .manifest import ScanRecord
+from .evalstats import ScoredSet, auc, report_dict
+from .manifest import ScanRecord, hold_out_site
 from .model import Model, ModelConfig, build_model
 from .nifti import Volume, load_volume
 from .tensor import Parameter, Tape, Tensor, backward
@@ -317,8 +317,8 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
                 epoch_loss += loss.item() * len(batch_records)
 
             train_loss = epoch_loss / len(train)
-            val_loss, val_scores = _evaluate(model, val, cache, config)
-            val_auc = auc(ScoredSet(val_scores, np.array([r.label for r in val])))
+            val_loss, val_scored = _evaluate(model, val, cache, config.eval_batch_size)
+            val_auc = auc(val_scored)
             history.records.append(EpochRecord(epoch, train_loss, val_loss, val_auc))
 
             if tracker.update(val_loss):
@@ -345,35 +345,28 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
 
 
 def _evaluate(model: Model, records: list[ScanRecord], cache: VolumeCache,
-              config: TrainConfig) -> tuple[float, np.ndarray]:
-    """Eval-mode loss and class-1 scores over one split."""
+              batch_size: int) -> tuple[float, ScoredSet]:
+    """Eval-mode mean loss and class-1 scores over a record list."""
+    labels = np.array([r.label for r in records])
     total = 0.0
-    scores = []
-    for start in range(0, len(records), config.eval_batch_size):
-        chunk = records[start:start + config.eval_batch_size]
-        x = _stack_batch([cache.get(r) for r in chunk], config.dtype)
-        labels = np.array([r.label for r in chunk])
-        result = model.apply(x, mode="eval")
-        loss = ops.cross_entropy(result.logits, labels)
-        if not np.isfinite(loss.data):
-            raise NumericalError("non-finite validation loss")
-        total += loss.item() * len(chunk)
-        scores.append(result.probs.data[:, 1].astype(np.float64))
-    return total / len(records), np.concatenate(scores)
-
-
-def score_records(model: Model, records: list[ScanRecord], data_root=".",
-                  batch_size: int = 16) -> ScoredSet:
-    """Eval-mode likelihood scores for a record list (e.g. the test split)."""
-    cache = VolumeCache(Path(data_root))
     scores = []
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
         x = _stack_batch([cache.get(r) for r in chunk], model.dtype)
         result = model.apply(x, mode="eval")
+        loss = ops.cross_entropy(result.logits, labels[start:start + batch_size])
+        if not np.isfinite(loss.data):
+            raise NumericalError("non-finite validation loss")
+        total += loss.item() * len(chunk)
         scores.append(result.probs.data[:, 1].astype(np.float64))
-    return ScoredSet(np.concatenate(scores), np.array([r.label for r in records]),
-                     subject_ids=tuple(r.subject_id for r in records))
+    return total / len(records), ScoredSet(np.concatenate(scores), labels,
+                                           subject_ids=tuple(r.subject_id for r in records))
+
+
+def score_records(model: Model, records: list[ScanRecord], data_root=".",
+                  batch_size: int = 16) -> ScoredSet:
+    """Eval-mode likelihood scores for a record list (e.g. the test split)."""
+    return _evaluate(model, records, VolumeCache(Path(data_root)), batch_size)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +407,40 @@ def save_checkpoint(model: Model, state: Optional[AdamState], history: Optional[
             fh.write(np.ascontiguousarray(arr, dtype=model.dtype.newbyteorder("<")).tobytes())
 
 
+def _checkpoint_meta(blob: bytes) -> dict:
+    """The metadata object of a checkpoint; a malformed one raises CorruptPayload."""
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise CorruptPayload(f"checkpoint metadata is not UTF-8 JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CorruptPayload("checkpoint metadata is not a JSON object")
+    missing = [k for k in ("model_config", "dtype", "adam", "history", "arrays")
+               if k not in meta]
+    if missing:
+        raise CorruptPayload(f"checkpoint metadata lacks {missing}")
+    if meta["dtype"] not in ("float32", "float64"):
+        raise CorruptPayload(f"checkpoint dtype {meta['dtype']!r} is not float32 or float64")
+    if not isinstance(meta["arrays"], list) or not all(
+            isinstance(e, dict) and {"role", "name", "shape"} <= set(e)
+            and isinstance(e["shape"], list) for e in meta["arrays"]):
+        raise CorruptPayload("every checkpoint array entry needs a role, a name and a shape")
+    return meta
+
+
 def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHistory]]:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise BadMagic(f"checkpoint magic {raw[:4]!r} != {CHECKPOINT_MAGIC!r}")
+    if len(raw) < 16:
+        raise CorruptPayload(f"checkpoint header truncated at {len(raw)} of 16 bytes")
     version, meta_len = struct.unpack_from("<IQ", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     header_end = 16 + meta_len
     if len(raw) < header_end:
         raise CorruptPayload("metadata block truncated")
-    meta = json.loads(raw[16:header_end].decode("utf-8"))
+    meta = _checkpoint_meta(raw[16:header_end])
 
     dtype = np.dtype(meta["dtype"])
     stored = dtype.newbyteorder("<")
@@ -476,28 +492,20 @@ def run_generalization(config: TrainConfig, records: list[ScanRecord], held_site
                        data_root=".") -> dict:
     """Hold one site out as the test set, train on the rest, evaluate.
 
-    Returns the standard evaluation report tagged with the held-out site,
-    plus the trained model and history under private keys.
+    Returns ``report``, the ``report_dict`` of the test scores tagged with
+    the held-out site, test-set size and test records, next to the trained
+    ``model``, ``adam`` and ``history``, the test ``scored`` set and the
+    hold-out ``records``.
     """
-    from .manifest import hold_out_site  # local import to avoid cycle at module load
-
     assigned = hold_out_site(records, held_site, seed=config.seed)
     model, adam, history = fit(config, assigned, data_root=data_root)
     test = _split_records(assigned, "test")
     scored = score_records(model, test, data_root=data_root,
                            batch_size=config.eval_batch_size)
-    from .evalstats import summarize
-
-    summary = summarize(scored)
     report = {
         "held_out_site": held_site,
         "n_test": len(test),
-        "auc": summary.auc,
-        "threshold": 0.5,
-        "accuracy": summary.accuracy,
-        "sensitivity": summary.sensitivity,
-        "specificity": summary.specificity,
-        "operating_threshold": summary.operating_threshold,
+        **report_dict(scored),
         "test_records": [{"subject_id": r.subject_id, "site": r.site,
                           "label": r.label, "split": r.split} for r in test],
     }

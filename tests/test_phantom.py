@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from szdl.errors import SizeTooSmall
-from szdl.phantom import PhantomSpec, cavity_roi, central_region, generate_phantom
+from szdl.phantom import PhantomSpec, cavity_roi, generate_phantom
+
+from oracles import central_region
 
 
 class TestDeterminism:
