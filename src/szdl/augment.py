@@ -24,13 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
+from .config import JsonConfig
 from .nifti import Volume
 
 AugmentPlan = list[tuple[str, dict]]
 
 
 @dataclass(frozen=True)
-class AugmentSpec:
+class AugmentSpec(JsonConfig):
     """Application probabilities and magnitude ranges for every transform."""
 
     p_blur: float = 0.1
@@ -68,23 +69,6 @@ class AugmentSpec:
             raise ValueError("elastic control grid needs at least 2 points per axis")
         if self.motion_max_transforms < 1:
             raise ValueError("motion needs at least one transform")
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            out[name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AugmentSpec":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown augmentation keys: {sorted(unknown)}")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-        spec = cls(**kwargs)
-        spec.validate()
-        return spec
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +240,6 @@ def motion_artifact(volume: Volume, transforms: list[dict]) -> Volume:
 
 def plan_pipeline(spec: AugmentSpec, rng: np.random.Generator) -> AugmentPlan:
     """Draw all pipeline decisions and parameters; returns the executable plan."""
-    spec.validate()
     plan: AugmentPlan = []
     if rng.random() < spec.p_blur:
         plan.append(("blur", {"sigma_mm": float(rng.uniform(*spec.blur_sigma_range))}))

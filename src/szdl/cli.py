@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +53,6 @@ def load_run_config(path) -> TrainConfig:
     """Parse and strictly validate the run-config JSON document."""
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -87,11 +85,8 @@ def write_scores_csv(scored: ScoredSet, path) -> None:
 
 
 def read_scores_csv(path) -> ScoredSet:
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except FileNotFoundError:
-        raise DataError(f"score file not found: {path}") from None
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or rows[0][:3] != ["subject_id", "score", "label"]:
         raise DataError(f"{path}: expected header subject_id,score,label")
     ids, scores, labels = [], [], []
@@ -174,9 +169,9 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
     if args.seed is not None:
-        config = TrainConfig.from_dict({**config.to_dict(), "seed": args.seed})
+        config = replace(config, seed=args.seed)
     if args.workers is not None:
-        config = TrainConfig.from_dict({**config.to_dict(), "workers": args.workers})
+        config = replace(config, workers=args.workers)
     records = load_manifest(args.manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,8 +279,7 @@ def cmd_augment_preview(args) -> int:
     save_volume(volume, out / "original.nii")
     write_mid_slices(volume.data, out, "original")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-    forced = AugmentSpec.from_dict({**spec.to_dict(), "p_blur": 1.0, "p_noise": 1.0,
-                                    "p_spatial": 1.0, "p_bias": 1.0, "p_motion": 1.0})
+    forced = replace(spec, p_blur=1.0, p_noise=1.0, p_spatial=1.0, p_bias=1.0, p_motion=1.0)
     # keep drawing plans until both spatial branches have been previewed
     seen: dict[str, object] = {}
     for _ in range(64):
@@ -439,15 +433,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (OSError, UnicodeDecodeError, DataError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -88,30 +88,25 @@ def roc_curve(scored: ScoredSet) -> tuple[RocPoint, ...]:
 
     order = np.argsort(-scored.scores, kind="stable")
     sorted_scores = scored.scores[order]
-    sorted_pos = pos[order].astype(np.int64)
-
-    points = [RocPoint(math.inf, 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j < len(sorted_scores) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i:j].sum())
-        fp += (j - i) - int(sorted_pos[i:j].sum())
-        points.append(RocPoint(float(sorted_scores[i]), fp / n_neg, tp / n_pos))
-        i = j
-    return tuple(points)
+    tp = np.cumsum(pos[order])
+    fp = np.arange(1, len(order) + 1) - tp
+    ends = np.r_[np.flatnonzero(np.diff(sorted_scores)), len(order) - 1]  # last of each tie
+    return (RocPoint(math.inf, 0.0, 0.0),) + tuple(
+        RocPoint(float(t), float(f), float(p))
+        for t, f, p in zip(sorted_scores[ends], fp[ends] / n_neg, tp[ends] / n_pos))
 
 
 def auc(scored: ScoredSet) -> float:
-    """Mann-Whitney AUC: P(positive score > negative score) + half ties."""
+    """Mann-Whitney AUC: P(positive score > negative score) + half ties.
+
+    Computed from the positives' rank sum; midranks make each tie count half.
+    """
     scored.require_both_classes()
-    pos = scored.scores[scored.labels == 1]
-    neg = scored.scores[scored.labels == 0]
-    greater = (pos[:, None] > neg[None, :]).sum(dtype=np.float64)
-    ties = (pos[:, None] == neg[None, :]).sum(dtype=np.float64)
-    return float((greater + 0.5 * ties) / (len(pos) * len(neg)))
+    pos = scored.labels == 1
+    m = int(pos.sum())
+    n = len(pos) - m
+    rank_sum = stats.rankdata(scored.scores)[pos].sum()
+    return float((rank_sum - m * (m + 1) / 2) / (m * n))
 
 
 def metrics_at(scored: ScoredSet, threshold: float) -> ThresholdMetrics:
@@ -130,17 +125,12 @@ def metrics_at(scored: ScoredSet, threshold: float) -> ThresholdMetrics:
 
 
 def operating_point(points) -> float:
-    """Threshold maximizing sensitivity + specificity; ties take the lower one."""
-    if not points:
-        raise ValueError("empty ROC curve")
-    best_threshold = points[0].threshold
-    best_j = -math.inf
-    for point in points:
-        j = point.tpr + (1.0 - point.fpr)
-        if j > best_j or (j == best_j and point.threshold < best_threshold):
-            best_j = j
-            best_threshold = point.threshold
-    return float(best_threshold)
+    """Threshold maximizing sensitivity + specificity; ties take the lower one.
+
+    ``points`` run in descending threshold order, as :func:`roc_curve` returns them.
+    """
+    j = np.array([p.tpr + (1.0 - p.fpr) for p in points])
+    return float(points[len(j) - 1 - int(np.argmax(j[::-1]))].threshold)
 
 
 def report_dict(scored: ScoredSet, report_threshold: float = 0.5) -> dict:

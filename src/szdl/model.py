@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
+from .config import JsonConfig
 from .errors import BadInputExtent, IndivisibleSERatio, ShapeMismatch
 from .ops import BNState
 from .tensor import Parameter, Tape, Tensor
@@ -34,16 +35,14 @@ _MIN_CAM_EXTENT = 6  # the final map's extent at the paper's 96^3 input
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """Structural hyperparameters of the classifier."""
+class ModelConfig(JsonConfig):
+    """Structural hyperparameters of the classifier (one input channel, two classes)."""
 
     input_extent: int = 96
-    in_channels: int = 1
     block_channels: tuple[int, ...] = (64, 128, 256, 256, 512, 512, 512, 512)
     se_ratio: int = 16
     classifier_dims: tuple[int, int] = (128, 16)
     dropout_p: float = 0.5
-    num_classes: int = 2
     width_scale: float = 1.0
     mid_sigmoid: bool = True       # sigmoid between dense layers 2 and 3, as published
     se_after_relu: bool = False    # ablation: SE after ReLU instead of before
@@ -72,33 +71,11 @@ class ModelConfig:
                     f"se_ratio {self.se_ratio} does not divide channel width {c}")
         if not 0 <= self.dropout_p < 1:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-
-    def to_dict(self) -> dict:
-        return {
-            "input_extent": self.input_extent,
-            "in_channels": self.in_channels,
-            "block_channels": list(self.block_channels),
-            "se_ratio": self.se_ratio,
-            "classifier_dims": list(self.classifier_dims),
-            "dropout_p": self.dropout_p,
-            "num_classes": self.num_classes,
-            "width_scale": self.width_scale,
-            "mid_sigmoid": self.mid_sigmoid,
-            "se_after_relu": self.se_after_relu,
-            "downsample_mode": self.downsample_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        allowed = set(cls().to_dict())
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("block_channels", "classifier_dims"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        if len(self.classifier_dims) != 2:
+            raise ValueError("classifier_dims must list the two hidden dense widths")
+        if self.downsample_mode not in ("mean", "nearest"):
+            raise ValueError(f"downsample_mode must be mean or nearest, "
+                             f"got {self.downsample_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +97,6 @@ class Model:
     """Layer stack, named parameters and batch-norm running statistics."""
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
-        config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Parameter] = {}
@@ -163,9 +139,8 @@ class Model:
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         extent = self.config.input_extent
-        if x.data.ndim != 5 or x.shape[1] != self.config.in_channels:
-            raise ShapeMismatch(f"expected [N, {self.config.in_channels}, D, H, W] input, "
-                                f"got {x.shape}")
+        if x.data.ndim != 5 or x.shape[1] != 1:
+            raise ShapeMismatch(f"expected [N, 1, D, H, W] input, got {x.shape}")
         spatial = x.shape[2:]
         if spatial == (2 * extent,) * 3:
             needs_downsample = True
@@ -264,7 +239,6 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     scaled uniform distribution; batch-norm starts at gamma 1 / beta 0 with
     running mean 0 / variance 1.
     """
-    config.validate()
     model = Model(config, dtype=dtype)
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0]))
     dt = model.dtype
@@ -317,7 +291,7 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     model.layers.append(LayerInfo("downsample", "downsample"))
 
     extent = config.input_extent
-    cin = config.in_channels
+    cin = 1
     conv_idx = 0
     for block, n_convs in enumerate((1, 1, 2, 2, 2), start=1):
         for idx in range(1, n_convs + 1):
@@ -342,6 +316,6 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     add_dense("classifier.fc2", h1, h2)
     if config.mid_sigmoid:
         model.layers.append(LayerInfo("sigmoid", "classifier.sigmoid", h2, h2))
-    add_dense("classifier.fc3", h2, config.num_classes)
+    add_dense("classifier.fc3", h2, 2)
     model.layers.append(LayerInfo("softmax", "classifier.softmax"))
     return model

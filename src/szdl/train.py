@@ -9,6 +9,7 @@ stream, so results are invariant to the augmentation worker count.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,8 +20,10 @@ import numpy as np
 
 from . import ops
 from .augment import AugmentSpec, apply_pipeline
+from .config import JsonConfig
 from .errors import (
     BadMagic,
+    ConfigError,
     CorruptPayload,
     EmptySplit,
     NonFiniteGradient,
@@ -40,11 +43,11 @@ _STREAM_DROPOUT = 2
 _STREAM_AUGMENT = 3
 
 CHECKPOINT_MAGIC = b"SZDL"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     """Optimization recipe; defaults follow the published training setup."""
 
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -61,7 +64,6 @@ class TrainConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        self.model.validate()
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.eval_batch_size < 1:
@@ -74,43 +76,10 @@ class TrainConfig:
             raise ValueError(f"precision must be float32 or float64, got {self.precision}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.augment:
-            self.augment_spec.validate()
 
     @property
     def dtype(self):
         return np.float32 if self.precision == "float32" else np.float64
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "min_delta": self.min_delta,
-            "seed": self.seed,
-            "precision": self.precision,
-            "augment": self.augment,
-            "augment_spec": self.augment_spec.to_dict(),
-            "eval_batch_size": self.eval_batch_size,
-            "workers": self.workers,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        allowed = set(cls().to_dict())
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "model" in kwargs:
-            kwargs["model"] = ModelConfig.from_dict(kwargs["model"])
-        if "augment_spec" in kwargs:
-            kwargs["augment_spec"] = AugmentSpec.from_dict(kwargs["augment_spec"])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +156,10 @@ class TrainHistory:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainHistory":
-        return cls(records=[EpochRecord(*row) for row in data["records"]],
-                   best_epoch=data["best_epoch"], stop_reason=data["stop_reason"])
+        return cls(records=[EpochRecord(operator.index(epoch), float(tl), float(vl), float(va))
+                            for epoch, tl, vl, va in data["records"]],
+                   best_epoch=operator.index(data["best_epoch"]),
+                   stop_reason=str(data["stop_reason"]))
 
 
 class EarlyStopTracker:
@@ -268,7 +239,6 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     """Optimize the model on the train split, tracking the best epoch by
     validation loss; returns the best-epoch model, its Adam state and the
     per-epoch history."""
-    config.validate()
     train = _split_records(records, "train")
     val = _split_records(records, "val")
     _require_two_class_split(train, "train")
@@ -407,27 +377,6 @@ def save_checkpoint(model: Model, state: Optional[AdamState], history: Optional[
             fh.write(np.ascontiguousarray(arr, dtype=model.dtype.newbyteorder("<")).tobytes())
 
 
-def _checkpoint_meta(blob: bytes) -> dict:
-    """The metadata object of a checkpoint; a malformed one raises CorruptPayload."""
-    try:
-        meta = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise CorruptPayload(f"checkpoint metadata is not UTF-8 JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CorruptPayload("checkpoint metadata is not a JSON object")
-    missing = [k for k in ("model_config", "dtype", "adam", "history", "arrays")
-               if k not in meta]
-    if missing:
-        raise CorruptPayload(f"checkpoint metadata lacks {missing}")
-    if meta["dtype"] not in ("float32", "float64"):
-        raise CorruptPayload(f"checkpoint dtype {meta['dtype']!r} is not float32 or float64")
-    if not isinstance(meta["arrays"], list) or not all(
-            isinstance(e, dict) and {"role", "name", "shape"} <= set(e)
-            and isinstance(e["shape"], list) for e in meta["arrays"]):
-        raise CorruptPayload("every checkpoint array entry needs a role, a name and a shape")
-    return meta
-
-
 def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHistory]]:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -440,24 +389,30 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
     header_end = 16 + meta_len
     if len(raw) < header_end:
         raise CorruptPayload("metadata block truncated")
-    meta = _checkpoint_meta(raw[16:header_end])
-
-    dtype = np.dtype(meta["dtype"])
-    stored = dtype.newbyteorder("<")
-    config = ModelConfig.from_dict(meta["model_config"])
-    model = build_model(config, seed=0, dtype=dtype)
-    adam_meta = meta["adam"]
-    adam = None if adam_meta is None else AdamState.for_params(
-        model.parameters(), t=adam_meta["t"], beta1=adam_meta["beta1"],
-        beta2=adam_meta["beta2"], eps=adam_meta["eps"])
+    try:
+        meta = json.loads(raw[16:header_end].decode("utf-8"))
+        if meta["dtype"] not in ("float32", "float64"):
+            raise ValueError(f"dtype {meta['dtype']!r} is not float32 or float64")
+        # str() keeps a non-string role or name from escaping as an unhashable key
+        index = [((str(e["role"]), str(e["name"])), tuple(map(operator.index, e["shape"])))
+                 for e in meta["arrays"]]
+        history = None if meta["history"] is None else TrainHistory.from_dict(meta["history"])
+        model = build_model(ModelConfig.from_dict(meta["model_config"]), seed=0,
+                            dtype=meta["dtype"])
+        adam_meta = meta["adam"]
+        adam = None if adam_meta is None else AdamState.for_params(
+            model.parameters(), t=operator.index(adam_meta["t"]),
+            beta1=float(adam_meta["beta1"]), beta2=float(adam_meta["beta2"]),
+            eps=float(adam_meta["eps"]))
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptPayload(f"malformed checkpoint metadata: {exc!r}") from None
+    stored = model.dtype.newbyteorder("<")
 
     # every array the model (and Adam, if saved) needs, exactly once, in its shape
     expected = {(role, name): arr for role, name, arr in _array_index(model, adam)}
     loaded = set()
     offset = header_end
-    for entry in meta["arrays"]:
-        key = (entry["role"], entry["name"])
-        shape = tuple(entry["shape"])
+    for key, shape in index:
         if key not in expected:
             raise CorruptPayload(f"unexpected array {key[0]} {key[1]!r}")
         if key in loaded:
@@ -468,7 +423,7 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
         count = int(np.prod(shape, dtype=np.int64))
         nbytes = count * stored.itemsize
         if len(raw) < offset + nbytes:
-            raise CorruptPayload(f"array {entry['name']} truncated")
+            raise CorruptPayload(f"array {key[1]} truncated")
         expected[key][...] = np.frombuffer(raw, dtype=stored, count=count,
                                            offset=offset).reshape(shape)
         loaded.add(key)
@@ -479,8 +434,6 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
                              f"{missing[0][1]!r}")
     if offset != len(raw):
         raise CorruptPayload(f"{len(raw) - offset} trailing bytes after the last array")
-
-    history = None if meta["history"] is None else TrainHistory.from_dict(meta["history"])
     return model, adam, history
 
 

@@ -12,7 +12,7 @@ from szdl.errors import DataError
 from szdl.manifest import load_manifest
 from szdl.model import ModelConfig
 from szdl.nifti import Volume, load_volume, save_volume
-from szdl.train import TrainConfig
+from szdl.train import CHECKPOINT_VERSION, TrainConfig
 
 
 def run(*argv):
@@ -25,7 +25,24 @@ def write_scores(path, rows):
 
 
 def checkpoint_bytes(meta: bytes) -> bytes:
-    return b"SZDL" + struct.pack("<IQ", 2, len(meta)) + meta
+    return b"SZDL" + struct.pack("<IQ", CHECKPOINT_VERSION, len(meta)) + meta
+
+
+def edited_checkpoint(path, edit) -> bytes:
+    """The checkpoint at ``path`` with ``edit(meta)`` applied to its metadata."""
+    blob = Path(path).read_bytes()
+    _, meta_len = struct.unpack_from("<IQ", blob, 4)
+    meta = json.loads(blob[16:16 + meta_len])
+    edit(meta)
+    return checkpoint_bytes(json.dumps(meta).encode()) + blob[16 + meta_len:]
+
+
+def _float_shape(meta):
+    meta["arrays"][0]["shape"] = [float(n) for n in meta["arrays"][0]["shape"]]
+
+
+def _text_loss(meta):
+    meta["history"]["records"][0][1] = "x"
 
 
 # a checkpoint metadata object with every key but dtype and one array entry
@@ -215,15 +232,48 @@ class TestTrainPipeline:
         checkpoint_bytes(json.dumps({**META, "dtype": "banana"}).encode()),
         checkpoint_bytes(json.dumps({**META, "dtype": "float32",
                                      "arrays": [{"role": "param", "name": "x"}]}).encode()),
+        # the trained checkpoint with one metadata entry edited
+        lambda meta: meta.update(adam={}),
+        lambda meta: meta.update(model_config=[16]),
+        lambda meta: meta["model_config"].update(input_extent=24),
+        lambda meta: meta.update(history={"records": 3}),
+        _text_loss,
+        _float_shape,
     ], ids=["bad-magic", "short-header", "meta-not-utf8", "meta-not-json", "meta-not-object",
-            "no-dtype", "unknown-dtype", "array-without-shape"])
+            "no-dtype", "unknown-dtype", "array-without-shape", "adam-empty",
+            "model-config-list", "input-extent-24", "history-records-int", "history-loss-text",
+            "float-shape"])
     def test_corrupt_checkpoint_exit_2(self, trained, tmp_path, capsys, payload):
         code, root, data, cfg, out = trained
+        if callable(payload):
+            payload = edited_checkpoint(out / "model.ckpt", payload)
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(payload)
         capsys.readouterr()
         assert run("eval", "--checkpoint", bad, "--manifest", data / "manifest.json",
                    "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--scores", "{dir}", "--out", "{tmp}/r"),
+        ("train", "--config", "{dir}", "--manifest", "{data}/manifest.json",
+         "--out", "{tmp}/o"),
+        ("split", "{dir}"),
+        ("cam", "--checkpoint", "{out}/model.ckpt", "--volume", "{dir}", "--out", "{tmp}/c"),
+        ("split", "{tmp}/latin1.json"),
+        ("eval", "--scores", "{tmp}/latin1.csv", "--out", "{tmp}/r"),
+    ], ids=["scores-dir", "config-dir", "manifest-dir", "volume-dir", "manifest-not-utf8",
+            "scores-not-utf8"])
+    def test_unreadable_input_exit_2(self, trained, tmp_path, capsys, argv):
+        code, root, data, cfg, out = trained
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "latin1.json").write_bytes(b'[{"subject_id": "caf\xe9"}]')
+        (tmp_path / "latin1.csv").write_bytes(b"subject_id,score,label\ncaf\xe9,0.5,1\n")
+        capsys.readouterr()
+        assert run(*(a.format(dir=tmp_path / "dir", tmp=tmp_path, data=data, out=out)
+                     for a in argv)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert "Traceback" not in err

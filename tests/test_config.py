@@ -1,0 +1,87 @@
+"""The shared config codec: round trips, rejection, validation on every construction."""
+
+import json
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from szdl.augment import AugmentSpec
+from szdl.cli import load_run_config
+from szdl.model import ModelConfig
+from szdl.train import TrainConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def nested_config():
+    return TrainConfig(
+        model=ModelConfig(input_extent=32, width_scale=1 / 8, se_ratio=4,
+                          classifier_dims=(16, 8), se_after_relu=True),
+        augment_spec=AugmentSpec(p_blur=0.5, blur_sigma_range=(0.5, 1.0), elastic_grid=5),
+        learning_rate=3e-4, seed=11, augment=False)
+
+
+class TestCodec:
+    def test_nested_round_trip(self):
+        cfg = nested_config()
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_round_trip_through_json(self):
+        cfg = nested_config()
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_subset_keeps_defaults(self):
+        cfg = TrainConfig.from_dict({"seed": 4, "model": {"se_ratio": 8}})
+        assert cfg == TrainConfig(seed=4, model=ModelConfig(se_ratio=8))
+
+    @pytest.mark.parametrize("data", [[], "seed", 3, None])
+    def test_non_dict_rejected(self, data):
+        with pytest.raises(TypeError):
+            TrainConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data", [{"batch_size": 2.5}, {"augment": 1}, {"seed": True},
+                                      {"model": {"se_ratio": "4"}},
+                                      {"model": {"block_channels": 64}}])
+    def test_wrong_value_type_rejected(self, data):
+        with pytest.raises(TypeError):
+            TrainConfig.from_dict(data)
+
+    def test_int_stands_for_float(self):
+        assert TrainConfig.from_dict({"learning_rate": 1}).learning_rate == 1.0
+
+    def test_nested_non_dict_rejected(self):
+        with pytest.raises(TypeError):
+            TrainConfig.from_dict({"model": [96]})
+
+    def test_unknown_nested_key_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            TrainConfig.from_dict({"augment_spec": {"bogus": 1}})
+
+
+class TestValidOnConstruction:
+    def test_replace_revalidates(self):
+        with pytest.raises(ValueError):
+            replace(TrainConfig(), learning_rate=-1)
+
+    @pytest.mark.parametrize("field", [{"classifier_dims": (8, 4, 2)},
+                                       {"downsample_mode": "cubic"}])
+    def test_model_config_unbuildable_fields_rejected(self, field):
+        with pytest.raises(ValueError):
+            ModelConfig(**field)
+
+    def test_invalid_augment_spec_rejected_with_augment_off(self):
+        with pytest.raises(ValueError):
+            TrainConfig.from_dict({"augment": False, "augment_spec": {"p_blur": 1.5}})
+
+
+class TestReadme:
+    def test_run_config_example_loads(self, tmp_path):
+        block = re.search(r"## Run config.*?```json\n(.*?)```", README.read_text(),
+                          re.S).group(1)
+        path = tmp_path / "config.json"
+        path.write_text(block)
+        cfg = load_run_config(path)
+        assert cfg.model == ModelConfig()
+        assert cfg.augment_spec == AugmentSpec()

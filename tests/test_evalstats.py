@@ -55,6 +55,25 @@ class TestRocCurve:
             roc_curve(ScoredSet(np.array([0.2, 0.4]), np.array([1, 1])))
 
 
+class TestExactAgainstLoopOracles:
+    """Tie-grouped cumulative sums and the rank sum are exact, so they equal the loops."""
+
+    def test_roc_and_auc_equal_loop_oracles(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            scores = np.round(rng.random(n), int(rng.integers(0, 3)))  # many ties
+            labels = rng.integers(0, 2, n)
+            labels[0], labels[-1] = 0, 1
+            s = ScoredSet(scores, labels)
+            pts = roc_curve(s)
+            assert [(p.fpr, p.tpr) for p in pts] == roc_points_sweep(
+                scores.tolist(), labels.tolist())
+            assert [p.threshold for p in pts[1:]] == sorted(set(scores.tolist()), reverse=True)
+            assert all(type(v) is float for p in pts for v in (p.threshold, p.fpr, p.tpr))
+            assert auc(s) == auc_pair_count(scores.tolist(), labels.tolist())
+
+
 class TestAuc:
     def test_perfect_and_inverted(self):
         s = ScoredSet(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0]))

@@ -16,6 +16,7 @@ from szdl.model import ModelConfig, build_model
 from szdl.phantom import PhantomSpec, synthesize_dataset
 from szdl.tensor import Parameter, Tensor
 from szdl.train import (
+    CHECKPOINT_VERSION,
     AdamState,
     EarlyStopTracker,
     TrainConfig,
@@ -245,7 +246,7 @@ class TestCheckpoint:
         edit(meta, arrays)
         meta["arrays"] = [entry for entry, _ in arrays]
         head = json.dumps(meta).encode("utf-8")
-        path.write_bytes(blob[:4] + struct.pack("<IQ", 2, len(head)) + head
+        path.write_bytes(blob[:4] + struct.pack("<IQ", CHECKPOINT_VERSION, len(head)) + head
                          + b"".join(payload for _, payload in arrays))
         return path, model
 
