@@ -108,28 +108,39 @@ def write_roc_csv(report: dict, path) -> None:
             writer.writerow([point["threshold"], point["fpr"], point["tpr"]])
 
 
+def _id_order(scored: ScoredSet, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """A score file's subject ids, sorted, and the rows in that order; ids must not repeat."""
+    ids, rows, counts = np.unique(np.array(scored.subject_ids, dtype=str),
+                                  return_index=True, return_counts=True)
+    if (counts > 1).any():
+        raise DataError(f"the {which} score file repeats subject {str(ids[counts > 1][0])!r}")
+    return ids, rows
+
+
 def _align_score_files(a: ScoredSet, b: ScoredSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Match two score files on subject id; labels must agree."""
-    if a.subject_ids is None or b.subject_ids is None:
-        raise DataError("score files must carry subject ids for comparison")
-    index_b = {sid: i for i, sid in enumerate(b.subject_ids)}
-    if set(a.subject_ids) != set(index_b):
+    """Match two score files on unique subject ids, in id order; labels must agree."""
+    (ids_a, ia), (ids_b, ib) = _id_order(a, "first"), _id_order(b, "second")
+    if not np.array_equal(ids_a, ids_b):
         raise DataError("score files cover different subject sets")
-    order = sorted(range(len(a.subject_ids)), key=lambda i: a.subject_ids[i])
-    sa, sb, labels = [], [], []
-    for i in order:
-        j = index_b[a.subject_ids[i]]
-        if a.labels[i] != b.labels[j]:
-            raise DataError(f"label mismatch for subject {a.subject_ids[i]!r}")
-        sa.append(a.scores[i])
-        sb.append(b.scores[j])
-        labels.append(int(a.labels[i]))
-    return np.array(sa), np.array(sb), np.array(labels)
+    mismatch = np.flatnonzero(a.labels[ia] != b.labels[ib])
+    if mismatch.size:
+        raise DataError(f"label mismatch for subject {str(ids_a[mismatch[0]])!r}")
+    return a.scores[ia], b.scores[ib], a.labels[ia]
 
 
 def _delong_block(a: ScoredSet, b: ScoredSet) -> dict:
     sa, sb, labels = _align_score_files(a, b)
     return {**asdict(delong_test(sa, sb, labels)), "n": int(len(labels))}
+
+
+def _out_dir(value: str) -> Path:
+    """Argparse type of every output directory: created here, else a usage error."""
+    try:
+        Path(value).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot create output directory {value!r}: {exc.strerror}") from None
+    return Path(value)
 
 
 def _data_root(args) -> Path:
@@ -173,23 +184,20 @@ def cmd_train(args) -> int:
     if args.workers is not None:
         config = replace(config, workers=args.workers)
     records = load_manifest(args.manifest)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.hold_out_site:
         result = run_generalization(config, records, args.hold_out_site,
                                     data_root=_data_root(args))
         model, adam, history = result["model"], result["adam"], result["history"]
-        (out / "generalization_report.json").write_text(
+        (args.out / "generalization_report.json").write_text(
             json.dumps(result["report"], indent=2) + "\n")
-        write_scores_csv(result["scored"], out / "test_scores.csv")
-        save_manifest(result["records"], out / "manifest_holdout.json")
+        write_scores_csv(result["scored"], args.out / "test_scores.csv")
+        save_manifest(result["records"], args.out / "manifest_holdout.json")
     else:
         model, adam, history = fit(config, records, data_root=_data_root(args))
 
-    save_checkpoint(model, adam, history, out / "model.ckpt")
-    (out / "history.csv").write_text(history.to_csv())
-    save_run_config(config, out / "run_config.json")
+    save_checkpoint(model, adam, history, args.out / "model.ckpt")
+    (args.out / "history.csv").write_text(history.to_csv())
+    save_run_config(config, args.out / "run_config.json")
     best = history.records[history.best_epoch - 1]
     print(f"trained {len(history.records)} epochs ({history.stop_reason}); "
           f"best epoch {history.best_epoch}: val_loss {best.val_loss:.4f}, "
@@ -198,8 +206,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.scores:
         scored = read_scores_csv(args.scores)
     elif args.checkpoint and args.manifest:
@@ -208,24 +214,22 @@ def cmd_eval(args) -> int:
         if not records:
             raise DataError(f"manifest has no records in split {args.split!r}")
         scored = score_records(model, records, data_root=_data_root(args))
-        write_scores_csv(scored, out / "scores.csv")
+        write_scores_csv(scored, args.out / "scores.csv")
     else:
         raise ConfigError("eval needs either --scores or --checkpoint with --manifest")
 
     report = report_dict(scored)
     if args.scores_b:
         report["delong"] = _delong_block(scored, read_scores_csv(args.scores_b))
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    write_roc_csv(report, out / "roc.csv")
-    print(f"auc {report['auc']:.4f} over {report['n']} cases -> {out / 'report.json'}")
+    (args.out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_roc_csv(report, args.out / "roc.csv")
+    print(f"auc {report['auc']:.4f} over {report['n']} cases -> {args.out / 'report.json'}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     block = _delong_block(read_scores_csv(args.scores_a), read_scores_csv(args.scores_b))
-    (out / "delong.json").write_text(json.dumps(block, indent=2) + "\n")
+    (args.out / "delong.json").write_text(json.dumps(block, indent=2) + "\n")
     if block["degenerate"]:
         print("degenerate comparison: zero variance with unequal AUCs")
         return 3
@@ -235,10 +239,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_cam(args) -> int:
+    if not 0 <= args.threshold <= 1:
+        raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
     model, _, _ = load_checkpoint(Path(args.checkpoint))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.volume:
         volumes = [load_volume(Path(args.volume))]
     else:
@@ -253,8 +256,8 @@ def cmd_cam(args) -> int:
 
     cams = [grad_cam(model, vol, args.target_class) for vol in volumes]
     averaged = average_cam(cams)
-    export_cam(averaged, out / "cam.nii")
-    write_mid_slices(averaged.values, out, "cam")
+    export_cam(averaged, args.out / "cam.nii")
+    write_mid_slices(averaged.values, args.out, "cam")
     mask = threshold_cam(averaged, args.threshold)
     summary = {
         "n_subjects": len(cams),
@@ -264,20 +267,18 @@ def cmd_cam(args) -> int:
         "degenerate_maps": sum(c.degenerate for c in cams),
         "source_layer": averaged.source_layer,
     }
-    (out / "cam_report.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"averaged CAM over {len(cams)} scans -> {out / 'cam.nii'} "
+    (args.out / "cam_report.json").write_text(json.dumps(summary, indent=2) + "\n")
+    print(f"averaged CAM over {len(cams)} scans -> {args.out / 'cam.nii'} "
           f"({summary['suprathreshold_voxels']} voxels >= {args.threshold})")
     return 0
 
 
 def cmd_augment_preview(args) -> int:
     volume = load_volume(Path(args.volume))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = AugmentSpec() if not args.config else \
         load_run_config(args.config).augment_spec
-    save_volume(volume, out / "original.nii")
-    write_mid_slices(volume.data, out, "original")
+    save_volume(volume, args.out / "original.nii")
+    write_mid_slices(volume.data, args.out, "original")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     forced = replace(spec, p_blur=1.0, p_noise=1.0, p_spatial=1.0, p_bias=1.0, p_motion=1.0)
     # keep drawing plans until both spatial branches have been previewed
@@ -289,15 +290,13 @@ def cmd_augment_preview(args) -> int:
             break
     for name, kwargs in seen.items():
         transformed = apply_plan(volume, [(name, kwargs)])
-        save_volume(transformed, out / f"{name}.nii")
-        write_mid_slices(transformed.data, out, name)
-    print(f"wrote original + {len(seen)} transformed volumes to {out}")
+        save_volume(transformed, args.out / f"{name}.nii")
+        write_mid_slices(transformed.data, args.out, name)
+    print(f"wrote original + {len(seen)} transformed volumes to {args.out}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = ModelConfig(input_extent=16, width_scale=1 / 8, se_ratio=4,
                          classifier_dims=(8, 4), dropout_p=0.0)
     model = build_model(config, seed=args.seed, dtype=np.float64)
@@ -341,7 +340,7 @@ def cmd_gradcheck(args) -> int:
     passed = worst["rel_error"] < 1e-4
     report = {"coordinates_checked": checked, "worst": worst, "tolerance": 1e-4,
               "passed": passed}
-    (out / "gradcheck.json").write_text(json.dumps(report, indent=2) + "\n")
+    (args.out / "gradcheck.json").write_text(json.dumps(report, indent=2) + "\n")
     print(f"gradient check over {checked} coordinates: worst rel error "
           f"{worst['rel_error']:.3g} ({'pass' if passed else 'FAIL'})")
     if not passed:
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a phantom dataset with manifest")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.add_argument("--count", type=int, default=10, help="volumes per class")
     p.add_argument("--size", type=int, default=48)
     p.add_argument("--effect-size", type=float, default=0.5)
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train from a run config and manifest")
     p.add_argument("--config", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--data-root", default=None)
@@ -394,13 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None)
     p.add_argument("--split", default="test")
     p.add_argument("--data-root", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="DeLong test between two score files")
     p.add_argument("--scores-a", required=True)
     p.add_argument("--scores-b", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("cam", help="averaged Grad-CAM volume and mid-slices")
@@ -411,18 +410,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-class", type=int, default=1, choices=(0, 1))
     p.add_argument("--threshold", type=float, default=0.85)
     p.add_argument("--data-root", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.set_defaults(func=cmd_cam)
 
     p = sub.add_parser("augment-preview", help="write before/after volumes per transform")
     p.add_argument("--volume", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_augment_preview)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the toy model")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -56,15 +56,6 @@ class RocPoint:
 
 
 @dataclass(frozen=True)
-class ThresholdMetrics:
-    """Metrics at one threshold; a metric is None when its class is empty."""
-
-    accuracy: Optional[float]
-    sensitivity: Optional[float]
-    specificity: Optional[float]
-
-
-@dataclass(frozen=True)
 class DeLongResult:
     auc_a: float
     auc_b: float
@@ -109,19 +100,22 @@ def auc(scored: ScoredSet) -> float:
     return float((rank_sum - m * (m + 1) / 2) / (m * n))
 
 
-def metrics_at(scored: ScoredSet, threshold: float) -> ThresholdMetrics:
-    """Accuracy / sensitivity / specificity with predictions score >= threshold."""
+def metrics_at(scored: ScoredSet, threshold: float) -> dict:
+    """Accuracy / sensitivity / specificity with predictions score >= threshold.
+
+    A metric is None when its class is empty.
+    """
     predicted = scored.scores >= threshold
     actual = scored.labels == 1
     tp = int((predicted & actual).sum())
     tn = int((~predicted & ~actual).sum())
     n_pos = int(actual.sum())
     n_neg = len(scored.labels) - n_pos
-    return ThresholdMetrics(
-        accuracy=(tp + tn) / len(scored.labels) if len(scored.labels) else None,
-        sensitivity=tp / n_pos if n_pos else None,
-        specificity=tn / n_neg if n_neg else None,
-    )
+    return {
+        "accuracy": (tp + tn) / len(scored.labels) if len(scored.labels) else None,
+        "sensitivity": tp / n_pos if n_pos else None,
+        "specificity": tn / n_neg if n_neg else None,
+    }
 
 
 def operating_point(points) -> float:
@@ -136,23 +130,14 @@ def operating_point(points) -> float:
 def report_dict(scored: ScoredSet, report_threshold: float = 0.5) -> dict:
     """JSON-ready evaluation report: AUC, threshold metrics, operating point, curve."""
     points = roc_curve(scored)
-    at_default = metrics_at(scored, report_threshold)
     op = operating_point(points)
-    at_op = metrics_at(scored, op)
     return {
         "n": int(len(scored.labels)),
         "n_positive": int(scored.labels.sum()),
         "auc": auc(scored),
         "threshold": report_threshold,
-        "accuracy": at_default.accuracy,
-        "sensitivity": at_default.sensitivity,
-        "specificity": at_default.specificity,
-        "operating_point": {
-            "threshold": op,
-            "accuracy": at_op.accuracy,
-            "sensitivity": at_op.sensitivity,
-            "specificity": at_op.specificity,
-        },
+        **metrics_at(scored, report_threshold),
+        "operating_point": {"threshold": op, **metrics_at(scored, op)},
         "curve": [{"threshold": p.threshold if math.isfinite(p.threshold) else None,
                    "fpr": p.fpr, "tpr": p.tpr} for p in points],
     }

@@ -11,8 +11,8 @@ layer's activations; each channel is weighted by the spatial mean of its
 gradient, the weighted sum passes through ReLU so only positively
 contributing voxels survive, and the coarse map is trilinearly upsampled
 to the input grid and min-max normalized to [0, 1].  An all-zero raw map
-short-circuits to an all-zero CAM with a degenerate flag instead of
-dividing by zero.
+skips the upsampling; any constant map becomes an all-zero CAM with a
+degenerate flag instead of dividing by zero.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import ops
-from .errors import EmptyList, MixedExtents, ShapeMismatch
+from .errors import EmptyList, MixedExtents
 from .model import Model
 from .nifti import Volume, save_volume
 from .tensor import Tape, Tensor, backward
@@ -53,6 +53,17 @@ def trilinear_resize(data: np.ndarray, out_shape) -> np.ndarray:
     return ndimage.zoom(data, factors, order=1, grid_mode=True, mode="nearest")
 
 
+def _normalized(values: np.ndarray, source_layer: str, target_class: int,
+                voxel_size: tuple[float, float, float]) -> CamVolume:
+    """Min-max scale a map to [0, 1]; a constant map becomes all zero, flagged degenerate."""
+    lo, hi = float(values.min()), float(values.max())
+    degenerate = hi <= lo  # no contrast to normalize
+    scaled = np.zeros(values.shape) if degenerate else (values - lo) / (hi - lo)
+    return CamVolume(values=scaled.astype(np.float32), source_layer=source_layer,
+                     target_class=target_class, norm_min=lo, norm_max=hi,
+                     degenerate=degenerate, voxel_size=voxel_size)
+
+
 def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
     """Class-activation volume for one scan against one target class.
 
@@ -62,9 +73,6 @@ def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
     """
     if target_class not in (0, 1):
         raise ValueError(f"target_class must be 0 or 1, got {target_class}")
-    extent = model.config.input_extent
-    if volume.extents not in ((extent,) * 3, (2 * extent,) * 3):
-        raise ShapeMismatch(f"volume extents {volume.extents} do not match the model")
 
     x = Tensor(volume.data[None, None].astype(model.dtype))
     tape = Tape()
@@ -85,25 +93,9 @@ def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
     weights = grads.mean(axis=(1, 2, 3), dtype=np.float64)
     raw = np.maximum(np.tensordot(weights, features.data[0].astype(np.float64),
                                   axes=(0, 0)), 0.0)
-
-    out_shape = volume.extents if volume.extents == (extent,) * 3 else (extent,) * 3
-    if not raw.any():
-        return CamVolume(values=np.zeros(out_shape, dtype=np.float32),
-                         source_layer=model.feature_layer, target_class=target_class,
-                         norm_min=0.0, norm_max=0.0, degenerate=True,
-                         voxel_size=volume.voxel_size)
-
-    upsampled = trilinear_resize(raw, out_shape)
-    lo, hi = float(upsampled.min()), float(upsampled.max())
-    if hi <= lo:  # constant map: no contrast to normalize
-        return CamVolume(values=np.zeros(out_shape, dtype=np.float32),
-                         source_layer=model.feature_layer, target_class=target_class,
-                         norm_min=lo, norm_max=hi, degenerate=True,
-                         voxel_size=volume.voxel_size)
-    values = (upsampled - lo) / (hi - lo)
-    return CamVolume(values=values.astype(np.float32),
-                     source_layer=model.feature_layer, target_class=target_class,
-                     norm_min=lo, norm_max=hi, voxel_size=volume.voxel_size)
+    out_shape = (model.config.input_extent,) * 3
+    upsampled = trilinear_resize(raw, out_shape) if raw.any() else np.zeros(out_shape)
+    return _normalized(upsampled, model.feature_layer, target_class, volume.voxel_size)
 
 
 def average_cam(cams: list[CamVolume]) -> CamVolume:
@@ -117,16 +109,7 @@ def average_cam(cams: list[CamVolume]) -> CamVolume:
         if cam.target_class != first.target_class:
             raise MixedExtents("CAMs target different classes")
     mean = np.mean([c.values for c in cams], axis=0, dtype=np.float64)
-    lo, hi = float(mean.min()), float(mean.max())
-    if hi > lo:
-        values = ((mean - lo) / (hi - lo)).astype(np.float32)
-        degenerate = False
-    else:
-        values = np.zeros_like(mean, dtype=np.float32)
-        degenerate = True
-    return CamVolume(values=values, source_layer=first.source_layer,
-                     target_class=first.target_class, norm_min=lo, norm_max=hi,
-                     degenerate=degenerate, voxel_size=first.voxel_size)
+    return _normalized(mean, first.source_layer, first.target_class, first.voxel_size)
 
 
 def threshold_cam(cam: CamVolume, threshold: float = 0.85) -> np.ndarray:
@@ -134,19 +117,6 @@ def threshold_cam(cam: CamVolume, threshold: float = 0.85) -> np.ndarray:
     if not 0 <= threshold <= 1:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     return cam.values >= threshold
-
-
-def localization_score(cam: CamVolume, roi_mask: np.ndarray,
-                       threshold: float = 0.85) -> float:
-    """Fraction of suprathreshold CAM voxels that fall inside the ROI."""
-    roi_mask = np.asarray(roi_mask, dtype=bool)
-    if roi_mask.shape != cam.values.shape:
-        raise ShapeMismatch(f"ROI shape {roi_mask.shape} != CAM shape {cam.values.shape}")
-    hot = threshold_cam(cam, threshold)
-    total = int(hot.sum())
-    if total == 0:
-        return 0.0
-    return float((hot & roi_mask).sum() / total)
 
 
 def export_cam(cam: CamVolume, path) -> None:

@@ -112,24 +112,13 @@ class Model:
         for p in self.params.values():
             p.zero_grad()
 
-    def layer_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for layer in self.layers:
-            counts[layer.kind] = counts.get(layer.kind, 0) + 1
-        return counts
-
-    def snapshot(self) -> dict:
-        """Deep copy of everything a best-epoch checkpoint must restore."""
-        return {
-            "params": {k: p.data.copy() for k, p in self.params.items()},
-            "bn": {k: s.copy() for k, s in self.bn_states.items()},
-        }
-
-    def restore(self, snap: dict) -> None:
-        for k, data in snap["params"].items():
-            self.params[k].data = data.copy()
-        for k, s in snap["bn"].items():
-            self.bn_states[k] = s.copy()
+    def state_arrays(self) -> list[tuple[str, str, np.ndarray]]:
+        """(role, name, array) of every parameter and BN statistic, in checkpoint order."""
+        entries = [("param", p.name, p.data) for p in self.params.values()]
+        for name in sorted(self.bn_states):
+            entries.append(("bn_mean", name, self.bn_states[name].mean))
+            entries.append(("bn_var", name, self.bn_states[name].var))
+        return entries
 
     # -- execution -----------------------------------------------------
 
@@ -165,7 +154,9 @@ class Model:
                                       self.params[layer.name + ".beta"], mode,
                                       self.bn_states[layer.name], tape=tape)
             elif kind == "se":
-                cur = se_block(cur, self._se_params(layer.name), self.config.se_ratio,
+                se = layer.name
+                cur = se_block(cur, self.params[se + ".fc1.weight"], self.params[se + ".fc1.bias"],
+                               self.params[se + ".fc2.weight"], self.params[se + ".fc2.bias"],
                                tape=tape)
             elif kind == "relu":
                 cur = ops.relu(cur, tape=tape)
@@ -180,46 +171,24 @@ class Model:
             elif kind == "dense":
                 cur = ops.dense(cur, self.params[layer.name + ".weight"],
                                 self.params[layer.name + ".bias"], tape=tape)
-                if layer.name == "classifier.fc3":
-                    logits = cur
             elif kind == "sigmoid":
                 cur = ops.sigmoid(cur, tape=tape)
             elif kind == "softmax":
-                probs = ops.softmax(cur, tape=tape)
-                cur = probs
+                logits = cur
+                probs = ops.softmax(logits, tape=tape)
             else:  # pragma: no cover
                 raise AssertionError(f"unhandled layer kind {kind}")
         return ForwardResult(probs=probs, logits=logits, features=features)
 
-    def forward(self, x: Tensor, mode: str = "eval", tape: Optional[Tape] = None,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Class probabilities [N, 2]; rows sum to one."""
-        return self.apply(x, mode=mode, tape=tape, rng=rng).probs
-
-    def _se_params(self, name: str) -> "SEParams":
-        return SEParams(self.params[name + ".fc1.weight"], self.params[name + ".fc1.bias"],
-                        self.params[name + ".fc2.weight"], self.params[name + ".fc2.bias"])
-
-
-@dataclass
-class SEParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-def se_block(x: Tensor, params: SEParams, ratio: int, tape: Optional[Tape] = None) -> Tensor:
-    """Squeeze-and-excitation: pool to [N,C], bottleneck C/ratio, sigmoid gate.
+def se_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+             tape: Optional[Tape] = None) -> Tensor:
+    """Squeeze-and-excitation: pool to [N,C], dense bottleneck, sigmoid gate.
 
     output(n, c, .) = gate(n, c) * x(n, c, .) with gate in (0, 1).
     """
-    c = x.shape[1]
-    if c % ratio != 0:
-        raise IndivisibleSERatio(f"ratio {ratio} does not divide {c} channels")
     squeezed = ops.global_avg_pool(x, tape=tape)
-    hidden = ops.relu(ops.dense(squeezed, params.w1, params.b1, tape=tape), tape=tape)
-    gate = ops.sigmoid(ops.dense(hidden, params.w2, params.b2, tape=tape), tape=tape)
+    hidden = ops.relu(ops.dense(squeezed, w1, b1, tape=tape), tape=tape)
+    gate = ops.sigmoid(ops.dense(hidden, w2, b2, tape=tape), tape=tape)
     return ops.channel_scale(x, gate, tape=tape)
 
 
@@ -227,28 +196,28 @@ def se_block(x: Tensor, params: SEParams, ratio: int, tape: Optional[Tape] = Non
 # construction
 
 
-def _fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     """Deterministically initialize the full layer stack from one seed.
 
-    Conv and dense weights (SE bottlenecks included) draw from a fan-in
-    scaled uniform distribution; batch-norm starts at gamma 1 / beta 0 with
-    running mean 0 / variance 1.
+    Conv and dense weights and biases (SE bottlenecks included) draw from a
+    fan-in scaled uniform distribution; batch-norm starts at gamma 1 / beta 0
+    with running mean 0 / variance 1.
     """
     model = Model(config, dtype=dtype)
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0]))
     dt = model.dtype
 
+    def add_param(name, shape, fan_in):
+        bound = 1.0 / math.sqrt(fan_in)
+        model.params[name] = Parameter(name, rng.uniform(-bound, bound, size=shape).astype(dt))
+
+    def add_affine(name, fin, fout):
+        add_param(name + ".weight", (fin, fout), fin)
+        add_param(name + ".bias", (fout,), fin)
+
     def add_conv(name, cin, cout):
-        fan_in = cin * 27
-        model.params[name + ".weight"] = Parameter(
-            name + ".weight", _fan_in_uniform(rng, (cout, cin, 3, 3, 3), fan_in, dt))
-        model.params[name + ".bias"] = Parameter(
-            name + ".bias", _fan_in_uniform(rng, (cout,), fan_in, dt))
+        add_param(name + ".weight", (cout, cin, 3, 3, 3), cin * 27)
+        add_param(name + ".bias", (cout,), cin * 27)
         model.layers.append(LayerInfo("conv", name, cin, cout))
 
     def add_bn(name, c):
@@ -259,21 +228,12 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
 
     def add_se(name, c):
         hidden = c // config.se_ratio
-        model.params[name + ".fc1.weight"] = Parameter(
-            name + ".fc1.weight", _fan_in_uniform(rng, (c, hidden), c, dt))
-        model.params[name + ".fc1.bias"] = Parameter(
-            name + ".fc1.bias", _fan_in_uniform(rng, (hidden,), c, dt))
-        model.params[name + ".fc2.weight"] = Parameter(
-            name + ".fc2.weight", _fan_in_uniform(rng, (hidden, c), hidden, dt))
-        model.params[name + ".fc2.bias"] = Parameter(
-            name + ".fc2.bias", _fan_in_uniform(rng, (c,), hidden, dt))
+        add_affine(name + ".fc1", c, hidden)
+        add_affine(name + ".fc2", hidden, c)
         model.layers.append(LayerInfo("se", name, c, c))
 
     def add_dense(name, fin, fout):
-        model.params[name + ".weight"] = Parameter(
-            name + ".weight", _fan_in_uniform(rng, (fin, fout), fin, dt))
-        model.params[name + ".bias"] = Parameter(
-            name + ".bias", _fan_in_uniform(rng, (fout,), fin, dt))
+        add_affine(name, fin, fout)
         model.layers.append(LayerInfo("dense", name, fin, fout))
 
     def add_conv_unit(block, idx, cin, cout):

@@ -77,10 +77,10 @@ class NiftiHeader:
     sform: Optional[np.ndarray] = field(default=None)
 
 
-def parse_nifti(blob: bytes, strict: bool = True) -> tuple[NiftiHeader, Volume]:
+def parse_nifti(blob: bytes) -> tuple[NiftiHeader, Volume]:
     """Decode an in-memory NIfTI-1 file into (header, volume).
 
-    ``strict`` rejects non-finite voxel values after scaling.
+    Non-finite voxel values after scaling are rejected.
     """
     if len(blob) < VOX_OFFSET:
         raise Truncated(f"file has {len(blob)} bytes, need at least {VOX_OFFSET}")
@@ -125,6 +125,8 @@ def parse_nifti(blob: bytes, strict: bool = True) -> tuple[NiftiHeader, Volume]:
         raise DimMismatch(f"spatial extents {extents} must be positive")
 
     count = extents[0] * extents[1] * extents[2]
+    if vox_offset and not VOX_OFFSET <= vox_offset <= len(blob):  # NaN fails too
+        raise DataError(f"vox_offset {vox_offset} lies outside bytes {VOX_OFFSET}..{len(blob)}")
     offset = int(vox_offset) if vox_offset else VOX_OFFSET
     nbytes = count * bitpix // 8
     if len(blob) < offset + nbytes:
@@ -137,8 +139,8 @@ def parse_nifti(blob: bytes, strict: bool = True) -> tuple[NiftiHeader, Volume]:
     # trips bit-identical, -0.0 included)
     if scl_slope != 0.0 and (scl_slope != 1.0 or scl_inter != 0.0):
         values = (np.float32(scl_slope) * values + np.float32(scl_inter)).astype(np.float32)
-    if strict and not np.isfinite(values).all():
-        raise DataError("volume contains NaN/Inf voxels (strict mode)")
+    if not np.isfinite(values).all():
+        raise DataError("volume contains NaN/Inf voxels")
 
     header = NiftiHeader(sizeof_hdr=sizeof_hdr, dim=tuple(dim), datatype=datatype,
                          bitpix=bitpix, vox_offset=vox_offset, scl_slope=scl_slope,
@@ -170,9 +172,9 @@ def write_nifti(volume: Volume) -> bytes:
     return bytes(header) + b"\x00\x00\x00\x00" + payload
 
 
-def load_volume(path, strict: bool = True) -> Volume:
+def load_volume(path) -> Volume:
     with open(path, "rb") as fh:
-        return parse_nifti(fh.read(), strict=strict)[1]
+        return parse_nifti(fh.read())[1]
 
 
 def save_volume(volume: Volume, path) -> None:

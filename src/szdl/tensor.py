@@ -100,26 +100,18 @@ class Tape:
         return t.requires_grad or id(t) in self._output_ids
 
 
-def backward(tape: Tape, loss: Tensor, seed: Optional[np.ndarray] = None) -> None:
+def backward(tape: Tape, loss: Tensor) -> None:
     """Populate ``.grad`` for every tensor reachable from ``loss`` on the tape.
 
-    ``loss`` is normally a scalar; ``seed`` overrides the initial output
-    gradient (used e.g. to select one logit).  Raises
+    The output gradient is seeded with ones, so ``loss`` is normally a
+    scalar (``ops.take`` picks one logit).  Raises
     :class:`~szdl.errors.DetachedOutput` if ``loss`` was not produced under
     this tape.
     """
     if not tape.produced(loss):
         raise DetachedOutput("loss tensor was not produced on this tape")
-    if seed is None:
-        seed = np.ones_like(loss.data)
-    else:
-        seed = np.asarray(seed, dtype=loss.data.dtype)
-        if seed.shape != loss.data.shape:
-            raise ValueError(f"seed shape {seed.shape} != loss shape {loss.data.shape}")
-    if loss.grad is None:
-        loss.grad = seed.copy()
-    else:
-        loss.grad = loss.grad + seed
+    seed = np.ones_like(loss.data)
+    loss.grad = seed if loss.grad is None else loss.grad + seed
 
     for output, inputs, backward_fn in reversed(tape._nodes):
         if output.grad is None:

@@ -104,7 +104,7 @@ class AdamState:
 
 
 def adam_step(params: list[Parameter], grads: list[np.ndarray], state: AdamState,
-              lr: float) -> tuple[list[Parameter], AdamState]:
+              lr: float) -> None:
     """One Adam update with bias correction; mutates params and state in place."""
     for p, g in zip(params, grads):
         if not np.isfinite(g).all():
@@ -122,7 +122,6 @@ def adam_step(params: list[Parameter], grads: list[np.ndarray], state: AdamState
         m_hat = m / correction1
         v_hat = v / correction2
         p.data -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +249,7 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     adam = AdamState.for_params(model.parameters())
     history = TrainHistory()
     tracker = EarlyStopTracker(config.patience, config.min_delta)
-    best: Optional[dict] = None
+    best: Optional[tuple[list[np.ndarray], int]] = None  # state arrays and adam.t
     pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
 
     try:
@@ -293,10 +292,7 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
 
             if tracker.update(val_loss):
                 history.best_epoch = epoch
-                best = {"model": model.snapshot(),
-                        "adam": {"m": {k: a.copy() for k, a in adam.m.items()},
-                                 "v": {k: a.copy() for k, a in adam.v.items()},
-                                 "t": adam.t}}
+                best = [a.copy() for _, _, a in _array_index(model, adam)], adam.t
             if tracker.should_stop:
                 history.stop_reason = "early-stop"
                 break
@@ -307,10 +303,9 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
             pool.shutdown()
 
     if best is not None:
-        model.restore(best["model"])
-        adam.m = best["adam"]["m"]
-        adam.v = best["adam"]["v"]
-        adam.t = best["adam"]["t"]
+        arrays, adam.t = best
+        for (_, _, a), saved in zip(_array_index(model, adam), arrays):
+            a[...] = saved
     return model, adam, history
 
 
@@ -344,10 +339,8 @@ def score_records(model: Model, records: list[ScanRecord], data_root=".",
 
 
 def _array_index(model: Model, adam: Optional[AdamState]) -> list[tuple[str, str, np.ndarray]]:
-    entries = [("param", p.name, p.data) for p in model.parameters()]
-    for name in sorted(model.bn_states):
-        entries.append(("bn_mean", name, model.bn_states[name].mean))
-        entries.append(("bn_var", name, model.bn_states[name].var))
+    """Every array a checkpoint stores: the model state, then the Adam moments."""
+    entries = model.state_arrays()
     if adam is not None:
         for name in sorted(adam.m):
             entries.append(("adam_m", name, adam.m[name]))

@@ -3,16 +3,18 @@ and the small helpers that only tests call.
 
 The references are written with explicit loops or element-by-element
 arithmetic, deliberately sharing no code with the production kernels.  The
-helpers at the end (elementwise tape ops, an activation dispatcher, single
-scan scoring and a few summaries) build on szdl's public API.
+helpers at the end (elementwise tape ops, a backward pass along a direction,
+an activation dispatcher, single scan scoring, CAM localization and a few
+summaries) build on szdl's public API.
 """
 
 import numpy as np
 
 from szdl import ops
 from szdl.errors import ShapeMismatch
+from szdl.gradcam import CamVolume, threshold_cam
 from szdl.manifest import SPLITS
-from szdl.tensor import Tape, Tensor
+from szdl.tensor import Tape, Tensor, backward
 
 
 def conv3d_loops(x, w, b, pad=1):
@@ -224,6 +226,15 @@ def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     return result
 
 
+def backward_along(tape: Tape, out: Tensor, d) -> None:
+    """Backward from sum(out * d): every gradient is the vector-Jacobian product with d.
+
+    The seed that reaches ``out`` is ``1.0 * d`` in out's dtype, which is d exactly.
+    """
+    d = Tensor(np.asarray(d, dtype=out.dtype))
+    backward(tape, sum_all(mul(out, d, tape=tape), tape=tape))
+
+
 _ACTIVATIONS = {"relu": ops.relu, "sigmoid": ops.sigmoid, "softmax": ops.softmax}
 
 
@@ -247,8 +258,7 @@ def predict_likelihood(model, volume) -> float:
         raise ShapeMismatch(f"volume extents {volume.extents} match neither "
                             f"{extent}^3 nor {2 * extent}^3")
     x = Tensor(volume.data[None, None].astype(model.dtype))
-    probs = model.forward(x, mode="eval")
-    return float(probs.data[0, 1])
+    return float(model.apply(x, mode="eval").probs.data[0, 1])
 
 
 def central_region(size: int) -> np.ndarray:
@@ -271,3 +281,15 @@ def trapezoid_area(points) -> float:
     for a, b in zip(points, points[1:]):
         total += (b.fpr - a.fpr) * (a.tpr + b.tpr) / 2
     return total
+
+
+def localization_score(cam: CamVolume, roi_mask: np.ndarray, threshold: float = 0.85) -> float:
+    """Fraction of suprathreshold CAM voxels that fall inside the ROI."""
+    roi_mask = np.asarray(roi_mask, dtype=bool)
+    if roi_mask.shape != cam.values.shape:
+        raise ShapeMismatch(f"ROI shape {roi_mask.shape} != CAM shape {cam.values.shape}")
+    hot = threshold_cam(cam, threshold)
+    total = int(hot.sum())
+    if total == 0:
+        return 0.0
+    return float((hot & roi_mask).sum() / total)

@@ -7,6 +7,7 @@ synthetic phantoms and dominate the runtime.
 
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from szdl.augment import (
     plan_pipeline,
 )
 from szdl.evalstats import ScoredSet, auc, delong_test
-from szdl.gradcam import average_cam, grad_cam, localization_score
+from szdl.gradcam import average_cam, grad_cam
 from szdl.manifest import assign_splits
 from szdl.model import Model, ModelConfig, build_model
 from szdl.nifti import Volume, load_volume, parse_nifti, write_nifti
@@ -45,7 +46,15 @@ from szdl.train import (
     score_records,
 )
 
-from oracles import activation, auc_pair_count, conv3d_loops, matmul_loops, mean_loops
+from oracles import (
+    activation,
+    auc_pair_count,
+    backward_along,
+    conv3d_loops,
+    localization_score,
+    matmul_loops,
+    mean_loops,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -158,7 +167,7 @@ class TestCriterion2GradientSuite:
         out = make_output(tape)
         for t in tensors:
             t.grad = None
-        backward(tape, out, seed=direction)
+        backward_along(tape, out, direction)
 
         def loss():
             return float((make_output(None).data * direction).sum())
@@ -224,7 +233,7 @@ class TestCriterion2GradientSuite:
         self._run_op(lambda tape: ops.downsample2x(x, tape=tape), [x], rng, direction)
 
     def _se_block_check(self, rng):
-        from szdl.model import SEParams, se_block
+        from szdl.model import se_block
 
         def leaf(*shape):
             t = Tensor(rng.standard_normal(shape), dtype=np.float64)
@@ -232,10 +241,10 @@ class TestCriterion2GradientSuite:
             return t
 
         x = leaf(2, 4, 3, 3, 3)
-        params = SEParams(leaf(4, 2), leaf(2), leaf(2, 4), leaf(4))
-        tensors = [x, params.w1, params.b1, params.w2, params.b2]
+        params = [leaf(4, 2), leaf(2), leaf(2, 4), leaf(4)]
+        tensors = [x, *params]
         direction = rng.standard_normal(x.shape)
-        self._run_op(lambda tape: se_block(x, params, ratio=2, tape=tape),
+        self._run_op(lambda tape: se_block(x, *params, tape=tape),
                      tensors, rng, direction)
 
     def _full_model_check(self, _shared_rng):
@@ -284,7 +293,7 @@ class TestCriterion3ArchitectureShape:
         with criterion(3, "default config: final conv map [N,512,6,6,6]; "
                           "8 conv / 4 pool / 3 dense / 2 dropout"):
             model = build_model(ModelConfig(), seed=0)
-            counts = model.layer_counts()
+            counts = Counter(layer.kind for layer in model.layers)
             assert counts["conv"] == 8
             assert counts["pool"] == 4
             assert counts["dense"] == 3

@@ -145,6 +145,24 @@ class TestEvalAndCompare:
         assert err.startswith("data error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["compare", "eval"])
+    def test_repeated_subject_id_exit_2(self, tmp_path, capsys, command):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_scores(a, [("x", 0.9, 1), ("x", 0.4, 1), ("y", 0.5, 0), ("z", 0.1, 0)])
+        write_scores(b, [("x", 0.8, 1), ("y", 0.3, 0), ("y", 0.6, 0), ("z", 0.2, 0)])
+        argv = {"compare": ("compare", "--scores-a", a), "eval": ("eval", "--scores", a)}
+        assert run(*argv[command], "--scores-b", b, "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: the first score file repeats subject 'x'")
+        assert "Traceback" not in err
+
+    def test_label_mismatch_names_first_subject(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_scores(a, [("s4", 0.1, 0), ("s3", 0.5, 0), ("s2", 0.4, 1), ("s1", 0.9, 1)])
+        write_scores(b, [("s1", 0.9, 1), ("s2", 0.4, 0), ("s3", 0.5, 1), ("s4", 0.1, 0)])
+        assert run("compare", "--scores-a", a, "--scores-b", b, "--out", tmp_path / "r") == 2
+        assert capsys.readouterr().err == "data error: label mismatch for subject 's2'\n"
+
     def test_read_scores_csv_rejects_nan(self, tmp_path):
         scores = tmp_path / "scores.csv"
         write_scores(scores, [("a", 0.9, 1), ("b", "nan", 1), ("c", 0.2, 0), ("d", 0.1, 0)])
@@ -203,6 +221,35 @@ class TestTrainPipeline:
         vol = load_volume(cam_dir / "cam.nii")
         assert vol.extents == (16, 16, 16)
         assert (cam_dir / "cam_axial.pgm").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "cam"])
+    def test_unusable_out_exit_1(self, trained, tmp_path, capsys, command):
+        code, root, data, cfg, out = trained
+        scores = tmp_path / "scores.csv"
+        write_scores(scores, [("a", 0.9, 1), ("b", 0.8, 1), ("c", 0.2, 0), ("d", 0.1, 0)])
+        afile = tmp_path / "afile"
+        afile.write_text("a regular file")
+        argv = {"eval": ("eval", "--scores", scores),
+                "cam": ("cam", "--checkpoint", out / "model.ckpt",
+                        "--manifest", data / "manifest.json")}[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            run(*argv, "--out", afile)
+        assert exited.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --out: cannot create output directory {str(afile)!r}" in err
+        assert "Traceback" not in err
+
+    def test_cam_threshold_out_of_range_writes_nothing(self, trained, tmp_path, capsys):
+        code, root, data, cfg, out = trained
+        cam_dir = tmp_path / "cam"
+        capsys.readouterr()
+        assert run("cam", "--checkpoint", out / "model.ckpt", "--manifest",
+                   data / "manifest.json", "--threshold", 1.5, "--out", cam_dir) == 1
+        assert not (cam_dir / "cam.nii").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --threshold must be in [0, 1]")
+        assert "Traceback" not in err
 
     def test_bad_config_key_exit_1(self, trained, tmp_path):
         code, root, data, cfg, out = trained
@@ -289,6 +336,17 @@ class TestAugmentPreviewAndGradcheck:
         names = {p.stem for p in out.glob("*.nii")}
         assert {"original", "blur", "noise", "bias", "motion"} <= names
         assert "affine" in names and "elastic" in names
+
+    def test_augment_preview_vox_offset_inside_header_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "bad.nii"
+        save_volume(Volume(np.ones((2, 2, 2), dtype=np.float32)), src)
+        blob = bytearray(src.read_bytes())
+        struct.pack_into("<f", blob, 108, 100.0)  # vox_offset
+        src.write_bytes(bytes(blob))
+        assert run("augment-preview", "--volume", src, "--out", tmp_path / "p") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: vox_offset 100.0")
+        assert "Traceback" not in err
 
     def test_gradcheck_passes(self, tmp_path):
         out = tmp_path / "gc"

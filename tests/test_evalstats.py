@@ -125,20 +125,20 @@ class TestMetricsAt:
     def test_all_correct(self):
         s = ScoredSet(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0]))
         m = metrics_at(s, 0.5)
-        assert (m.accuracy, m.sensitivity, m.specificity) == (1.0, 1.0, 1.0)
+        assert (m["accuracy"], m["sensitivity"], m["specificity"]) == (1.0, 1.0, 1.0)
 
     def test_threshold_above_max(self):
         m = metrics_at(FOUR, 2.0)
-        assert m.sensitivity == 0.0 and m.specificity == 1.0
+        assert m["sensitivity"] == 0.0 and m["specificity"] == 1.0
 
     def test_hand_tabulation(self):
         m = metrics_at(FOUR, 0.5)
-        assert (m.accuracy, m.sensitivity, m.specificity) == (0.5, 0.5, 0.5)
+        assert (m["accuracy"], m["sensitivity"], m["specificity"]) == (0.5, 0.5, 0.5)
 
     def test_empty_class_reports_none(self):
         s = ScoredSet(np.array([0.3, 0.6]), np.array([1, 1]))
         m = metrics_at(s, 0.5)
-        assert m.specificity is None and m.sensitivity == 0.5
+        assert m["specificity"] is None and m["sensitivity"] == 0.5
 
 
 class TestOperatingPoint:
@@ -148,7 +148,7 @@ class TestOperatingPoint:
         t = operating_point(pts)
         assert t == 0.8  # min positive score: lowest threshold with J = 2
         m = metrics_at(s, t)
-        assert m.sensitivity + m.specificity == 2.0
+        assert m["sensitivity"] + m["specificity"] == 2.0
 
     def test_all_ties_single_step(self):
         s = ScoredSet(np.array([0.5, 0.5, 0.5]), np.array([1, 0, 1]))
@@ -165,7 +165,7 @@ class TestOperatingPoint:
             expected_t, expected_j = youden_scan(scores.tolist(), labels.tolist())
             got_t = operating_point(roc_curve(s))
             m = metrics_at(s, got_t)
-            assert m.sensitivity + m.specificity == pytest.approx(expected_j, abs=1e-12)
+            assert m["sensitivity"] + m["specificity"] == pytest.approx(expected_j, abs=1e-12)
             assert got_t == pytest.approx(expected_t, abs=1e-12)
 
     def test_hand_example_prefers_lower_threshold(self):

@@ -1,5 +1,7 @@
 """Architecture assembly, SE gating, and forward-pass contracts."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from szdl.errors import BadInputExtent, IndivisibleSERatio, ShapeMismatch
 from szdl.model import (
     Model,
     ModelConfig,
-    SEParams,
     build_model,
     se_block,
 )
@@ -53,7 +54,7 @@ class TestStructure:
 
     def test_layer_inventory(self):
         model = build_model(ModelConfig(), seed=0)
-        counts = model.layer_counts()
+        counts = Counter(layer.kind for layer in model.layers)
         assert counts["conv"] == 8
         assert counts["bn"] == 8
         assert counts["se"] == 8
@@ -97,34 +98,35 @@ class TestStructure:
 class TestSEBlock:
     def _params(self, c, ratio, bias2=0.0):
         hidden = c // ratio
-        return SEParams(Tensor(np.zeros((c, hidden))), Tensor(np.zeros(hidden)),
-                        Tensor(np.zeros((hidden, c))), Tensor(np.full(c, bias2)))
+        return (Tensor(np.zeros((c, hidden))), Tensor(np.zeros(hidden)),
+                Tensor(np.zeros((hidden, c))), Tensor(np.full(c, bias2)))
 
     def test_zero_input_zero_output(self):
         x = Tensor(np.zeros((1, 4, 2, 2, 2)))
-        out = se_block(x, self._params(4, 2), 2)
+        out = se_block(x, *self._params(4, 2))
         assert np.all(out.data == 0)
 
     def test_saturated_gate_passes_input(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((2, 4, 2, 2, 2)))
-        out = se_block(x, self._params(4, 2, bias2=20.0), 2)
+        out = se_block(x, *self._params(4, 2, bias2=20.0))
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
 
     def test_neutral_gate_halves_input(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((2, 4, 2, 2, 2)))
-        out = se_block(x, self._params(4, 2, bias2=0.0), 2)
+        out = se_block(x, *self._params(4, 2, bias2=0.0))
         np.testing.assert_allclose(out.data, x.data / 2, atol=1e-12)
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(2)
         model = build_model(toy_config(), seed=3)
         x = Tensor(rng.standard_normal((1, 32, 4, 4, 4)).astype(np.float32))
-        params = model._se_params("block3.se1")  # 32-channel layer in the 1/8-width config
+        params = {k: model.params["block3.se1." + k]  # 32-channel layer at 1/8 width
+                  for k in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")}
         gate_in = ops.dense(ops.relu(ops.dense(ops.global_avg_pool(x),
-                                               params.w1, params.b1)),
-                            params.w2, params.b2)
+                                               params["fc1.weight"], params["fc1.bias"])),
+                            params["fc2.weight"], params["fc2.bias"])
         gate = ops.sigmoid(gate_in)
         assert np.all(gate.data > 0) and np.all(gate.data < 1)
 
@@ -134,7 +136,7 @@ class TestForward:
         model = build_model(toy_config(), seed=1)
         rng = np.random.default_rng(0)
         x = Tensor(rng.random((2, 1, 16, 16, 16)).astype(np.float32))
-        probs = model.forward(x, mode="eval")
+        probs = model.apply(x, mode="eval").probs
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(probs.data >= 0) and np.all(probs.data <= 1)
 
@@ -149,43 +151,41 @@ class TestForward:
         model = build_model(toy_config(), seed=1)
         rng = np.random.default_rng(2)
         x32 = rng.random((1, 1, 32, 32, 32)).astype(np.float32)
-        probs_full = model.forward(Tensor(x32), mode="eval")
+        probs_full = model.apply(Tensor(x32), mode="eval").probs
         x16 = ops.downsample2x(Tensor(x32)).data
-        probs_pre = model.forward(Tensor(x16), mode="eval")
+        probs_pre = model.apply(Tensor(x16), mode="eval").probs
         np.testing.assert_allclose(probs_full.data, probs_pre.data, atol=1e-6)
 
     def test_eval_deterministic(self):
         model = build_model(toy_config(), seed=1)
         rng = np.random.default_rng(3)
         x = Tensor(rng.random((2, 1, 16, 16, 16)).astype(np.float32))
-        a = model.forward(x, mode="eval")
-        b = model.forward(x, mode="eval")
+        a = model.apply(x, mode="eval").probs
+        b = model.apply(x, mode="eval").probs
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_eval_mutates_nothing(self):
         model = build_model(toy_config(), seed=1)
-        before = model.snapshot()
+        before = [(role, name, a.copy()) for role, name, a in model.state_arrays()]
         rng = np.random.default_rng(4)
         x = Tensor(rng.random((2, 1, 16, 16, 16)).astype(np.float32))
-        model.forward(x, mode="eval")
-        after = model.snapshot()
-        for name in before["params"]:
-            np.testing.assert_array_equal(before["params"][name], after["params"][name])
-        for name in before["bn"]:
-            np.testing.assert_array_equal(before["bn"][name].mean, after["bn"][name].mean)
-            np.testing.assert_array_equal(before["bn"][name].var, after["bn"][name].var)
+        model.apply(x, mode="eval")
+        after = model.state_arrays()
+        assert [k[:2] for k in before] == [k[:2] for k in after]
+        for (role, name, a), (_, _, b) in zip(before, after):
+            np.testing.assert_array_equal(a, b, err_msg=f"{role} {name}")
 
     def test_train_mode_updates_bn(self):
         model = build_model(toy_config(), seed=1)
         rng = np.random.default_rng(5)
         x = Tensor(rng.random((2, 1, 16, 16, 16)).astype(np.float32))
-        model.forward(x, mode="train", rng=np.random.default_rng(0))
+        model.apply(x, mode="train", rng=np.random.default_rng(0))
         assert not np.all(model.bn_states["block1.bn1"].mean == 0)
 
     def test_wrong_extent_rejected(self):
         model = build_model(toy_config(), seed=1)
         with pytest.raises(ShapeMismatch):
-            model.forward(Tensor(np.zeros((1, 1, 20, 20, 20), dtype=np.float32)))
+            model.apply(Tensor(np.zeros((1, 1, 20, 20, 20), dtype=np.float32)))
 
     def test_gradient_flow_every_layer(self):
         model = build_model(toy_config(dropout_p=0.0), seed=2, dtype=np.float64)
@@ -217,7 +217,7 @@ class TestPredictLikelihood:
         model = build_model(toy_config(), seed=2)
         vol = Volume(np.random.default_rng(1).random((16, 16, 16), dtype=np.float32))
         p1 = predict_likelihood(model, vol)
-        probs = model.forward(Tensor(vol.data[None, None]), mode="eval")
+        probs = model.apply(Tensor(vol.data[None, None]), mode="eval").probs
         assert p1 + float(probs.data[0, 0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_extent_mismatch(self):
@@ -229,10 +229,10 @@ class TestPredictLikelihood:
 class TestMidSigmoidSwitch:
     def test_switch_removes_sigmoid_layer(self):
         model = build_model(toy_config(mid_sigmoid=False), seed=0)
-        assert model.layer_counts().get("sigmoid", 0) == 0
+        assert "sigmoid" not in {layer.kind for layer in model.layers}
         rng = np.random.default_rng(0)
         x = Tensor(rng.random((1, 1, 16, 16, 16)).astype(np.float32))
-        probs = model.forward(x, mode="eval")
+        probs = model.apply(x, mode="eval").probs
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_se_after_relu_reorders(self):

@@ -13,7 +13,7 @@ from szdl.nifti import Volume, parse_nifti, write_nifti
 
 def build_nifti_bytes(values, extents, *, order="<", datatype=16, bitpix=32,
                       scl_slope=1.0, scl_inter=0.0, pixdim=(1.0, 1.0, 1.0),
-                      magic=b"n+1\x00", ndim=3):
+                      magic=b"n+1\x00", ndim=3, vox_offset=352.0):
     """Hand-rolled NIfTI-1 byte builder, independent of the production writer."""
     hdr = bytearray(348)
     struct.pack_into(order + "i", hdr, 0, 348)
@@ -21,7 +21,7 @@ def build_nifti_bytes(values, extents, *, order="<", datatype=16, bitpix=32,
     struct.pack_into(order + "8h", hdr, 40, *dims)
     struct.pack_into(order + "2h", hdr, 70, datatype, bitpix)
     struct.pack_into(order + "8f", hdr, 76, 1.0, *pixdim, 1.0, 1.0, 1.0, 1.0)
-    struct.pack_into(order + "3f", hdr, 108, 352.0, scl_slope, scl_inter)
+    struct.pack_into(order + "3f", hdr, 108, vox_offset, scl_slope, scl_inter)
     hdr[344:348] = magic
     np_dtype = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}.get(datatype)
     if np_dtype is None:  # unsupported-code fixtures: emit opaque bytes
@@ -101,8 +101,17 @@ class TestParse:
         blob = build_nifti_bytes([np.nan] * 8, (2, 2, 2))
         with pytest.raises(DataError):
             parse_nifti(blob)
-        _, vol = parse_nifti(blob, strict=False)
-        assert np.isnan(vol.data).all()
+
+    @pytest.mark.parametrize("vox_offset", [100.0, -4.0, float("nan")])
+    def test_vox_offset_inside_header_rejected(self, vox_offset):
+        blob = build_nifti_bytes(np.arange(8.0), (2, 2, 2), vox_offset=vox_offset)
+        with pytest.raises(DataError, match="vox_offset"):
+            parse_nifti(blob)
+
+    def test_zero_vox_offset_means_352(self):
+        blob = build_nifti_bytes(np.arange(8.0), (2, 2, 2), vox_offset=0.0)
+        _, vol = parse_nifti(blob)
+        np.testing.assert_array_equal(vol.data.reshape(-1), np.arange(8, dtype=np.float32))
 
 
 class TestWrite:
