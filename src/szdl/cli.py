@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ops
 from .augment import AugmentSpec, apply_plan, plan_pipeline
-from .errors import ConfigError, DataError, NumericalError, SzdlError
+from .errors import DataError, NumericalError
 from .evalstats import ScoredSet, delong_test, report_dict
 from .gradcam import average_cam, export_cam, grad_cam, threshold_cam, write_mid_slices
 from .manifest import SITES, assign_splits, hold_out_site, load_manifest, save_manifest
@@ -54,20 +54,20 @@ def load_run_config(path) -> TrainConfig:
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("run config must be a JSON object")
+        raise ValueError("run config must be a JSON object")
     unknown = set(raw) - {"schema_version", "train"}
     if unknown:
-        raise ConfigError(f"unknown run-config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown run-config keys: {sorted(unknown)}")
     version = raw.get("schema_version")
     if version != RUN_CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r}, "
-                          f"expected {RUN_CONFIG_SCHEMA_VERSION}")
+        raise ValueError(f"unsupported schema_version {version!r}, "
+                         f"expected {RUN_CONFIG_SCHEMA_VERSION}")
     try:
         return TrainConfig.from_dict(raw.get("train", {}))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def save_run_config(config: TrainConfig, path) -> None:
@@ -168,7 +168,7 @@ def cmd_split(args) -> int:
     else:
         ratios = tuple(int(x) for x in args.ratios.split(","))
         if len(ratios) != 3:
-            raise ConfigError(f"--ratios needs three comma-separated tenths, got {args.ratios}")
+            raise ValueError(f"--ratios needs three comma-separated tenths, got {args.ratios}")
         records = assign_splits(records, ratios=ratios, seed=args.seed)
     out = args.out or args.manifest
     save_manifest(records, out)
@@ -211,16 +211,17 @@ def cmd_eval(args) -> int:
     elif args.checkpoint and args.manifest:
         model, _, _ = load_checkpoint(Path(args.checkpoint))
         records = [r for r in load_manifest(args.manifest) if r.split == args.split]
-        if not records:
-            raise DataError(f"manifest has no records in split {args.split!r}")
+        if {r.label for r in records} != {0, 1}:
+            raise DataError(f"split {args.split!r} needs scans of both classes")
         scored = score_records(model, records, data_root=_data_root(args))
-        write_scores_csv(scored, args.out / "scores.csv")
     else:
-        raise ConfigError("eval needs either --scores or --checkpoint with --manifest")
+        raise ValueError("eval needs either --scores or --checkpoint with --manifest")
 
     report = report_dict(scored)
     if args.scores_b:
         report["delong"] = _delong_block(scored, read_scores_csv(args.scores_b))
+    if not args.scores:
+        write_scores_csv(scored, args.out / "scores.csv")
     (args.out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     write_roc_csv(report, args.out / "roc.csv")
     print(f"auc {report['auc']:.4f} over {report['n']} cases -> {args.out / 'report.json'}")
@@ -240,13 +241,13 @@ def cmd_compare(args) -> int:
 
 def cmd_cam(args) -> int:
     if not 0 <= args.threshold <= 1:
-        raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
+        raise ValueError(f"--threshold must be in [0, 1], got {args.threshold}")
     model, _, _ = load_checkpoint(Path(args.checkpoint))
     if args.volume:
         volumes = [load_volume(Path(args.volume))]
     else:
         if not args.manifest:
-            raise ConfigError("cam needs --volume or --manifest")
+            raise ValueError("cam needs --volume or --manifest")
         records = [r for r in load_manifest(args.manifest)
                    if r.split == args.split and r.label == args.target_class]
         if not records:
@@ -435,15 +436,12 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except SzdlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,138 +1,15 @@
-"""Exception hierarchy shared across the toolkit.
+"""The toolkit's two exception types, one per CLI exit code.
 
-Three broad families map onto the CLI exit codes: configuration problems
-(exit 1), malformed or degenerate input data (exit 2), and numerical
-failures during computation (exit 3).
+An invalid configuration or argument raises the builtin ``ValueError``
+(exit 1).  Malformed or degenerate input data raises :class:`DataError`
+(exit 2), and a non-finite value or failed check at run time raises
+:class:`NumericalError` (exit 3).
 """
 
 
-class SzdlError(Exception):
-    """Base class for all toolkit errors."""
+class DataError(Exception):
+    """Malformed input files, wrong shapes or degenerate datasets."""
 
 
-class ConfigError(SzdlError):
-    """Invalid configuration: bad hyperparameters, unknown keys, bad flags."""
-
-
-class DataError(SzdlError):
-    """Malformed input files or degenerate datasets."""
-
-
-class NumericalError(SzdlError):
+class NumericalError(Exception):
     """Non-finite values or degenerate statistics produced at run time."""
-
-
-# --- file formats (NIfTI and checkpoints share the magic check) ---
-
-class BadMagic(DataError):
-    pass
-
-
-class UnsupportedDatatype(DataError):
-    pass
-
-
-class Truncated(DataError):
-    pass
-
-
-class DimMismatch(DataError):
-    pass
-
-
-class VersionMismatch(DataError):
-    pass
-
-
-class CorruptPayload(DataError):
-    pass
-
-
-# --- manifests and splits ---
-
-class EmptyManifest(DataError):
-    pass
-
-
-class SingleClass(DataError):
-    pass
-
-
-class UnknownSite(DataError):
-    pass
-
-
-class EmptySplit(DataError):
-    pass
-
-
-class SingleClassSplit(DataError):
-    pass
-
-
-# --- phantom generation ---
-
-class SizeTooSmall(ConfigError):
-    pass
-
-
-# --- tensor engine ---
-
-class ShapeMismatch(SzdlError):
-    pass
-
-
-class OddExtent(SzdlError):
-    pass
-
-
-class DegenerateBatch(SzdlError):
-    pass
-
-
-class BadProbability(ConfigError):
-    pass
-
-
-class BadLabel(DataError):
-    pass
-
-
-class DetachedOutput(SzdlError):
-    pass
-
-
-# --- model configuration ---
-
-class IndivisibleSERatio(ConfigError):
-    pass
-
-
-class BadInputExtent(ConfigError):
-    pass
-
-
-# --- optimizer ---
-
-class NonFiniteGradient(NumericalError):
-    pass
-
-
-# --- evaluation ---
-
-class MisalignedInputs(DataError):
-    pass
-
-
-class TooFewCases(DataError):
-    pass
-
-
-# --- CAM aggregation ---
-
-class EmptyList(DataError):
-    pass
-
-
-class MixedExtents(DataError):
-    pass

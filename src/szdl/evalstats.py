@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
-from .errors import DataError, MisalignedInputs, SingleClass, TooFewCases
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,19 @@ class ScoredSet:
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if self.scores.ndim != 1 or self.scores.shape != self.labels.shape:
-            raise MisalignedInputs(
+            raise DataError(
                 f"scores {self.scores.shape} and labels {self.labels.shape} must be "
                 "equal-length vectors")
         if self.subject_ids is not None and len(self.subject_ids) != len(self.scores):
-            raise MisalignedInputs("subject_ids length differs from scores")
+            raise DataError("subject_ids length differs from scores")
         if not np.isin(self.labels, (0, 1)).all():
-            raise MisalignedInputs("labels must be 0 or 1")
+            raise DataError("labels must be 0 or 1")
         if not np.isfinite(self.scores).all():
             raise DataError(f"{int((~np.isfinite(self.scores)).sum())} scores are not finite")
 
     def require_both_classes(self) -> None:
         if not (self.labels == 1).any() or not (self.labels == 0).any():
-            raise SingleClass("operation needs at least one positive and one negative")
+            raise DataError("operation needs at least one positive and one negative")
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,14 @@ def delong_test(scores_a, scores_b, labels) -> DeLongResult:
     scores_b = np.asarray(scores_b, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores_a.shape != scores_b.shape or scores_a.shape != labels.shape:
-        raise MisalignedInputs("both score vectors and labels must share one case set")
+        raise DataError("both score vectors and labels must share one case set")
     pos = labels == 1
     m = int(pos.sum())
     n = len(labels) - m
     if m == 0 or n == 0:
-        raise SingleClass("DeLong needs both classes")
+        raise DataError("DeLong needs both classes")
     if m < 2 or n < 2:
-        raise TooFewCases("DeLong needs at least 2 cases per class")
+        raise DataError("DeLong needs at least 2 cases per class")
 
     v10_a, v01_a = _structural_components(scores_a, pos)
     v10_b, v01_b = _structural_components(scores_b, pos)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import ops
-from .errors import EmptyList, MixedExtents
+from .errors import DataError
 from .model import Model
 from .nifti import Volume, save_volume
 from .tensor import Tape, Tensor, backward
@@ -101,13 +101,13 @@ def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
 def average_cam(cams: list[CamVolume]) -> CamVolume:
     """Voxelwise mean of normalized maps, re-normalized to [0, 1]."""
     if not cams:
-        raise EmptyList("need at least one CAM to average")
+        raise DataError("need at least one CAM to average")
     first = cams[0]
     for cam in cams[1:]:
         if cam.extents != first.extents:
-            raise MixedExtents(f"CAM extents differ: {cam.extents} vs {first.extents}")
+            raise DataError(f"CAM extents differ: {cam.extents} vs {first.extents}")
         if cam.target_class != first.target_class:
-            raise MixedExtents("CAMs target different classes")
+            raise DataError("CAMs target different classes")
     mean = np.mean([c.values for c in cams], axis=0, dtype=np.float64)
     return _normalized(mean, first.source_layer, first.target_class, first.voxel_size)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, EmptyManifest, SingleClass, UnknownSite
+from .errors import DataError
 
 SITES = ("COBRE", "BrainGluSchi", "NMorphCH", "SYNTH")
 SPLITS = ("train", "val", "test", "unassigned")
@@ -98,7 +98,7 @@ def assign_splits(records: list[ScanRecord], ratios: tuple[int, int, int] = (8, 
     """
     validate_records(records)
     if not records:
-        raise EmptyManifest("cannot split an empty manifest")
+        raise DataError("cannot split an empty manifest")
     if any(rec.split != "unassigned" for rec in records):
         raise DataError("records must all be unassigned before splitting")
     if len(ratios) != 3 or sum(ratios) != 10 or any(r < 0 for r in ratios):
@@ -106,7 +106,7 @@ def assign_splits(records: list[ScanRecord], ratios: tuple[int, int, int] = (8, 
 
     by_label = _subjects_by_label(records)
     if not by_label[0] or not by_label[1]:
-        raise SingleClass("both labels must be present to stratify the split")
+        raise DataError("both labels must be present to stratify the split")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     subsets: list[list[str]] = [[] for _ in range(10)]
@@ -131,7 +131,7 @@ def hold_out_site(records: list[ScanRecord], site: str, seed: int = 0) -> list[S
     """Send every scan of one site to the test split; 9:1 train/val the rest."""
     validate_records(records)
     if site not in {rec.site for rec in records}:
-        raise UnknownSite(f"site {site!r} has no records in this manifest")
+        raise DataError(f"site {site!r} has no records in this manifest")
     held = [replace(rec, split="test") for rec in records if rec.site == site]
     rest = [replace(rec, split="unassigned") for rec in records if rec.site != site]
     rest = assign_splits(rest, ratios=(9, 1, 0), seed=seed)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import ops
 from .config import JsonConfig
-from .errors import BadInputExtent, IndivisibleSERatio, ShapeMismatch
+from .errors import DataError
 from .ops import BNState
 from .tensor import Parameter, Tape, Tensor
 
@@ -62,12 +62,12 @@ class ModelConfig(JsonConfig):
         if len(self.block_channels) != 8:
             raise ValueError("block_channels must list all 8 convolution widths")
         if self.input_extent % (2 ** _POOL_STAGES) != 0 or self.input_extent <= 0:
-            raise BadInputExtent(
+            raise ValueError(
                 f"input_extent {self.input_extent} must be a positive multiple of "
                 f"{2 ** _POOL_STAGES} (four pooling stages)")
         for c in self.scaled_channels():
             if c % self.se_ratio != 0:
-                raise IndivisibleSERatio(
+                raise ValueError(
                     f"se_ratio {self.se_ratio} does not divide channel width {c}")
         if not 0 <= self.dropout_p < 1:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
@@ -82,8 +82,6 @@ class ModelConfig(JsonConfig):
 class LayerInfo:
     kind: str                 # downsample|conv|bn|se|relu|pool|flatten|dropout|dense|sigmoid|softmax
     name: str
-    in_channels: int = 0
-    out_channels: int = 0
 
 
 @dataclass
@@ -129,15 +127,15 @@ class Model:
             raise ValueError(f"unknown mode {mode!r}")
         extent = self.config.input_extent
         if x.data.ndim != 5 or x.shape[1] != 1:
-            raise ShapeMismatch(f"expected [N, 1, D, H, W] input, got {x.shape}")
+            raise DataError(f"expected [N, 1, D, H, W] input, got {x.shape}")
         spatial = x.shape[2:]
         if spatial == (2 * extent,) * 3:
             needs_downsample = True
         elif spatial == (extent,) * 3:
             needs_downsample = False
         else:
-            raise ShapeMismatch(f"input extent {spatial} matches neither {extent} "
-                                f"nor {2 * extent}")
+            raise DataError(f"input extent {spatial} matches neither {extent} "
+                            f"nor {2 * extent}")
 
         cur = x
         features = logits = probs = None
@@ -218,34 +216,34 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     def add_conv(name, cin, cout):
         add_param(name + ".weight", (cout, cin, 3, 3, 3), cin * 27)
         add_param(name + ".bias", (cout,), cin * 27)
-        model.layers.append(LayerInfo("conv", name, cin, cout))
+        model.layers.append(LayerInfo("conv", name))
 
     def add_bn(name, c):
         model.params[name + ".gamma"] = Parameter(name + ".gamma", np.ones(c, dtype=dt))
         model.params[name + ".beta"] = Parameter(name + ".beta", np.zeros(c, dtype=dt))
         model.bn_states[name] = BNState(np.zeros(c, dtype=dt), np.ones(c, dtype=dt))
-        model.layers.append(LayerInfo("bn", name, c, c))
+        model.layers.append(LayerInfo("bn", name))
 
     def add_se(name, c):
         hidden = c // config.se_ratio
         add_affine(name + ".fc1", c, hidden)
         add_affine(name + ".fc2", hidden, c)
-        model.layers.append(LayerInfo("se", name, c, c))
+        model.layers.append(LayerInfo("se", name))
 
     def add_dense(name, fin, fout):
         add_affine(name, fin, fout)
-        model.layers.append(LayerInfo("dense", name, fin, fout))
+        model.layers.append(LayerInfo("dense", name))
 
     def add_conv_unit(block, idx, cin, cout):
         prefix = f"block{block}"
         add_conv(f"{prefix}.conv{idx}", cin, cout)
         add_bn(f"{prefix}.bn{idx}", cout)
         if config.se_after_relu:
-            model.layers.append(LayerInfo("relu", f"{prefix}.relu{idx}", cout, cout))
+            model.layers.append(LayerInfo("relu", f"{prefix}.relu{idx}"))
             add_se(f"{prefix}.se{idx}", cout)
         else:
             add_se(f"{prefix}.se{idx}", cout)
-            model.layers.append(LayerInfo("relu", f"{prefix}.relu{idx}", cout, cout))
+            model.layers.append(LayerInfo("relu", f"{prefix}.relu{idx}"))
 
     channels = config.scaled_channels()
     model.layers.append(LayerInfo("downsample", "downsample"))
@@ -268,14 +266,14 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
 
     flat = channels[-1] * extent ** 3
     h1, h2 = config.classifier_dims
-    model.layers.append(LayerInfo("flatten", "classifier.flatten", channels[-1], flat))
+    model.layers.append(LayerInfo("flatten", "classifier.flatten"))
     model.layers.append(LayerInfo("dropout", "classifier.drop1"))
     add_dense("classifier.fc1", flat, h1)
-    model.layers.append(LayerInfo("relu", "classifier.relu1", h1, h1))
+    model.layers.append(LayerInfo("relu", "classifier.relu1"))
     model.layers.append(LayerInfo("dropout", "classifier.drop2"))
     add_dense("classifier.fc2", h1, h2)
     if config.mid_sigmoid:
-        model.layers.append(LayerInfo("sigmoid", "classifier.sigmoid", h2, h2))
+        model.layers.append(LayerInfo("sigmoid", "classifier.sigmoid"))
     add_dense("classifier.fc3", h2, 2)
     model.layers.append(LayerInfo("softmax", "classifier.softmax"))
     return model

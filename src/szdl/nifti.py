@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadMagic, DataError, DimMismatch, Truncated, UnsupportedDatatype
+from .errors import DataError
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -40,7 +40,7 @@ class Volume:
     def __post_init__(self):
         self.data = np.asarray(self.data)
         if self.data.ndim != 3:
-            raise DimMismatch(f"volume data must be 3-d, got {self.data.ndim}-d")
+            raise DataError(f"volume data must be 3-d, got {self.data.ndim}-d")
         self.voxel_size = tuple(float(v) for v in self.voxel_size)
         if len(self.voxel_size) != 3 or any(v <= 0 for v in self.voxel_size):
             raise DataError(f"voxel_size must be three positive lengths, got {self.voxel_size}")
@@ -55,7 +55,7 @@ class Volume:
 
     def validate(self) -> None:
         if self.data.size == 0:
-            raise DimMismatch("volume has an empty axis")
+            raise DataError("volume has an empty axis")
         if not np.isfinite(self.data).all():
             raise DataError("volume contains non-finite voxels")
 
@@ -83,11 +83,11 @@ def parse_nifti(blob: bytes) -> tuple[NiftiHeader, Volume]:
     Non-finite voxel values after scaling are rejected.
     """
     if len(blob) < VOX_OFFSET:
-        raise Truncated(f"file has {len(blob)} bytes, need at least {VOX_OFFSET}")
+        raise DataError(f"file has {len(blob)} bytes, need at least {VOX_OFFSET}")
 
     magic = blob[344:348]
     if magic != MAGIC:
-        raise BadMagic(
+        raise DataError(
             f"unsupported magic {magic!r}: only uncompressed single-file NIfTI-1 "
             "('n+1') is handled; detached headers and compressed files are not"
         )
@@ -111,18 +111,18 @@ def parse_nifti(blob: bytes) -> tuple[NiftiHeader, Volume]:
         sform = np.array([rows[0:4], rows[4:8], rows[8:12], [0, 0, 0, 1]], dtype=np.float64)
 
     if datatype not in _DTYPES:
-        raise UnsupportedDatatype(f"datatype code {datatype} not supported")
+        raise DataError(f"datatype code {datatype} not supported")
     if bitpix != _BITPIX[datatype]:
         raise DataError(f"bitpix {bitpix} inconsistent with datatype {datatype}")
 
     ndim = dim[0]
     if ndim < 3:
-        raise DimMismatch(f"dim[0]={ndim}, need a 3-d or 4-d volume")
+        raise DataError(f"dim[0]={ndim}, need a 3-d or 4-d volume")
     if ndim > 4 or any(dim[i] != 1 for i in range(4, ndim + 1)):
-        raise DimMismatch("only 3-d volumes (or 4-d with trailing singleton) are supported")
+        raise DataError("only 3-d volumes (or 4-d with trailing singleton) are supported")
     extents = dim[1:4]
     if any(e <= 0 for e in extents):
-        raise DimMismatch(f"spatial extents {extents} must be positive")
+        raise DataError(f"spatial extents {extents} must be positive")
 
     count = extents[0] * extents[1] * extents[2]
     if vox_offset and not VOX_OFFSET <= vox_offset <= len(blob):  # NaN fails too
@@ -130,7 +130,7 @@ def parse_nifti(blob: bytes) -> tuple[NiftiHeader, Volume]:
     offset = int(vox_offset) if vox_offset else VOX_OFFSET
     nbytes = count * bitpix // 8
     if len(blob) < offset + nbytes:
-        raise Truncated(f"payload needs {nbytes} bytes at offset {offset}, file has {len(blob)}")
+        raise DataError(f"payload needs {nbytes} bytes at offset {offset}, file has {len(blob)}")
 
     raw = np.frombuffer(blob, dtype=np.dtype(byteorder + _DTYPES[datatype]),
                         count=count, offset=offset)

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadLabel,
-    BadProbability,
-    DegenerateBatch,
-    OddExtent,
-    ShapeMismatch,
-)
+from .errors import DataError
 from .tensor import Tape, Tensor
 
 
@@ -61,19 +55,19 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1,
     rebuilds it for the weight gradient, so the tape keeps no copy.
     """
     if x.data.ndim != 5 or w.data.ndim != 5:
-        raise ShapeMismatch(f"conv3d expects 5-d input/kernel, got {x.shape}/{w.shape}")
+        raise DataError(f"conv3d expects 5-d input/kernel, got {x.shape}/{w.shape}")
     n, cin, d, h, wd = x.shape
     cout, cin_w, kd, kh, kw = w.shape
     if cin != cin_w:
-        raise ShapeMismatch(f"input channels {cin} != kernel channels {cin_w}")
+        raise DataError(f"input channels {cin} != kernel channels {cin_w}")
     if not (kd == kh == kw):
-        raise ShapeMismatch("kernel must be cubic")
+        raise DataError("kernel must be cubic")
     if b.shape != (cout,):
-        raise ShapeMismatch(f"bias shape {b.shape} != ({cout},)")
+        raise DataError(f"bias shape {b.shape} != ({cout},)")
     k = kd
     do, ho, wo = d + 2 * pad - k + 1, h + 2 * pad - k + 1, wd + 2 * pad - k + 1
     if min(do, ho, wo) < 1:
-        raise ShapeMismatch("kernel larger than padded input")
+        raise DataError("kernel larger than padded input")
 
     w_mat = w.data.reshape(cout, cin * k * k * k)
     out = np.empty((n, cout, do, ho, wo), dtype=x.dtype)
@@ -117,6 +111,12 @@ _POOL_FWD_PERM = (0, 1, 2, 4, 6, 3, 5, 7)
 _POOL_INV_PERM = (0, 1, 2, 5, 3, 6, 4, 7)
 
 
+def _require_even(extents: tuple[int, int, int]) -> None:
+    """The spatial check of both 2x2x2 reductions, max pooling and downsampling."""
+    if any(e % 2 for e in extents):
+        raise DataError(f"spatial extents {extents} must be even")
+
+
 def maxpool3d(x: Tensor, tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
     """Disjoint 2x2x2 max pooling; returns the pooled tensor and the argmax.
 
@@ -125,8 +125,7 @@ def maxpool3d(x: Tensor, tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
     only there.
     """
     n, c, d, h, w = x.shape
-    if d % 2 or h % 2 or w % 2:
-        raise OddExtent(f"spatial extents {(d, h, w)} must be even")
+    _require_even((d, h, w))
     d2, h2, w2 = d // 2, h // 2, w // 2
     blocks = x.data.reshape(n, c, d2, 2, h2, 2, w2, 2).transpose(_POOL_FWD_PERM)
     blocks = np.ascontiguousarray(blocks).reshape(n, c, d2, h2, w2, 8)
@@ -148,10 +147,9 @@ def maxpool3d(x: Tensor, tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
 def downsample2x(x: Tensor, mode: str = "mean", tape: Tape | None = None) -> Tensor:
     """Halve the last three extents by 2x2x2 block mean (or nearest corner)."""
     if x.data.ndim < 3:
-        raise ShapeMismatch("downsample2x needs at least 3 trailing spatial axes")
+        raise DataError("downsample2x needs at least 3 trailing spatial axes")
     d, h, w = x.shape[-3:]
-    if d % 2 or h % 2 or w % 2:
-        raise OddExtent(f"spatial extents {(d, h, w)} must be even")
+    _require_even((d, h, w))
     lead = x.shape[:-3]
     if mode == "mean":
         blocks = x.data.reshape(*lead, d // 2, 2, h // 2, 2, w // 2, 2)
@@ -179,7 +177,7 @@ def downsample2x(x: Tensor, mode: str = "mean", tape: Tape | None = None) -> Ten
 def global_avg_pool(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Mean over all spatial positions: [N,C,D,H,W] -> [N,C]."""
     if x.data.ndim != 5:
-        raise ShapeMismatch(f"expected 5-d input, got {x.shape}")
+        raise DataError(f"expected 5-d input, got {x.shape}")
     volume = x.shape[2] * x.shape[3] * x.shape[4]
     out = x.data.mean(axis=(2, 3, 4), dtype=np.float64).astype(x.dtype)
 
@@ -221,12 +219,12 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNStat
         raise ValueError(f"unknown mode {mode!r}")
     n, c, d, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeMismatch(f"gamma/beta must have shape ({c},)")
+        raise DataError(f"gamma/beta must have shape ({c},)")
 
     if mode == "train":
         count = n * d * h * w
         if count < 2:
-            raise DegenerateBatch("train-mode batchnorm needs >= 2 elements per channel")
+            raise DataError("train-mode batchnorm needs >= 2 elements per channel")
         mean = x.data.mean(axis=(0, 2, 3, 4), dtype=np.float64)
         xhat = x.data - mean[None, :, None, None, None].astype(x.dtype)  # centred
         var = np.square(xhat, dtype=np.float64).mean(axis=(0, 2, 3, 4), dtype=np.float64)
@@ -272,11 +270,11 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNStat
 def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """Affine map x @ W + b with x [N,F], W [F,O], b [O]."""
     if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeMismatch(f"dense expects 2-d operands, got {x.shape}/{w.shape}")
+        raise DataError(f"dense expects 2-d operands, got {x.shape}/{w.shape}")
     if x.shape[1] != w.shape[0]:
-        raise ShapeMismatch(f"inner extents differ: {x.shape[1]} vs {w.shape[0]}")
+        raise DataError(f"inner extents differ: {x.shape[1]} vs {w.shape[0]}")
     if b.shape != (w.shape[1],):
-        raise ShapeMismatch(f"bias shape {b.shape} != ({w.shape[1]},)")
+        raise DataError(f"bias shape {b.shape} != ({w.shape[1]},)")
     out = x.data @ w.data + b.data
 
     result = Tensor(out)
@@ -336,7 +334,7 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
             tape: Tape | None = None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
     if not 0 <= p < 1:
-        raise BadProbability(f"dropout probability must be in [0, 1), got {p}")
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "eval" or p == 0:
@@ -366,12 +364,12 @@ def cross_entropy(logits: Tensor, labels, tape: Tape | None = None) -> Tensor:
     """
     y = np.asarray(labels)
     if logits.data.ndim != 2:
-        raise ShapeMismatch(f"logits must be [N, K], got {logits.shape}")
+        raise DataError(f"logits must be [N, K], got {logits.shape}")
     n, k = logits.shape
     if y.shape != (n,):
-        raise ShapeMismatch(f"labels shape {y.shape} != ({n},)")
+        raise DataError(f"labels shape {y.shape} != ({n},)")
     if not np.issubdtype(y.dtype, np.integer) or y.min() < 0 or y.max() >= k:
-        raise BadLabel(f"labels must be integers in [0, {k})")
+        raise DataError(f"labels must be integers in [0, {k})")
 
     z = logits.data.astype(np.float64)
     z -= z.max(axis=1, keepdims=True)
@@ -406,7 +404,7 @@ def reshape(x: Tensor, shape, tape: Tape | None = None) -> Tensor:
 def channel_scale(x: Tensor, gate: Tensor, tape: Tape | None = None) -> Tensor:
     """Multiply each channel of [N,C,D,H,W] by a per-(sample, channel) gate."""
     if gate.shape != x.shape[:2]:
-        raise ShapeMismatch(f"gate shape {gate.shape} != {x.shape[:2]}")
+        raise DataError(f"gate shape {gate.shape} != {x.shape[:2]}")
     g5 = gate.data[:, :, None, None, None]
     out = x.data * g5
 

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SizeTooSmall
 from .nifti import Volume, save_volume
 
 # nominal geometry in normalized [-1, 1] coordinates
@@ -46,7 +45,7 @@ class PhantomSpec:
 
     def __post_init__(self):
         if self.size < 16:
-            raise SizeTooSmall(f"phantom size must be >= 16, got {self.size}")
+            raise ValueError(f"phantom size must be >= 16, got {self.size}")
         if self.effect_size < 0 or self.noise_std < 0:
             raise ValueError("effect_size and noise_std must be non-negative")
         if self.clutter_blobs < 0:

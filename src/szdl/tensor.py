@@ -20,8 +20,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DetachedOutput
-
 
 class Tensor:
     """N-dimensional real array plus an optional same-shape gradient buffer."""
@@ -104,12 +102,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Populate ``.grad`` for every tensor reachable from ``loss`` on the tape.
 
     The output gradient is seeded with ones, so ``loss`` is normally a
-    scalar (``ops.take`` picks one logit).  Raises
-    :class:`~szdl.errors.DetachedOutput` if ``loss`` was not produced under
-    this tape.
+    scalar (``ops.take`` picks one logit).  Raises ``ValueError`` if ``loss``
+    was not produced under this tape.
     """
     if not tape.produced(loss):
-        raise DetachedOutput("loss tensor was not produced on this tape")
+        raise ValueError("loss tensor was not produced on this tape")
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
 

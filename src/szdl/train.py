@@ -21,16 +21,7 @@ import numpy as np
 from . import ops
 from .augment import AugmentSpec, apply_pipeline
 from .config import JsonConfig
-from .errors import (
-    BadMagic,
-    ConfigError,
-    CorruptPayload,
-    EmptySplit,
-    NonFiniteGradient,
-    NumericalError,
-    SingleClassSplit,
-    VersionMismatch,
-)
+from .errors import DataError, NumericalError
 from .evalstats import ScoredSet, auc, report_dict
 from .manifest import ScanRecord, hold_out_site
 from .model import Model, ModelConfig, build_model
@@ -108,7 +99,7 @@ def adam_step(params: list[Parameter], grads: list[np.ndarray], state: AdamState
     """One Adam update with bias correction; mutates params and state in place."""
     for p, g in zip(params, grads):
         if not np.isfinite(g).all():
-            raise NonFiniteGradient(f"gradient of {p.name} is not finite")
+            raise NumericalError(f"gradient of {p.name} is not finite")
     state.t += 1
     correction1 = 1.0 - state.beta1 ** state.t
     correction2 = 1.0 - state.beta2 ** state.t
@@ -212,10 +203,10 @@ def _split_records(records: list[ScanRecord], split: str) -> list[ScanRecord]:
 
 def _require_two_class_split(records: list[ScanRecord], name: str) -> None:
     if not records:
-        raise EmptySplit(f"{name} split is empty")
+        raise DataError(f"{name} split is empty")
     labels = {r.label for r in records}
     if len(labels) < 2:
-        raise SingleClassSplit(f"{name} split holds a single class")
+        raise DataError(f"{name} split holds a single class")
 
 
 def _stack_batch(volumes: list[Volume], dtype) -> Tensor:
@@ -373,15 +364,15 @@ def save_checkpoint(model: Model, state: Optional[AdamState], history: Optional[
 def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHistory]]:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"checkpoint magic {raw[:4]!r} != {CHECKPOINT_MAGIC!r}")
+        raise DataError(f"checkpoint magic {raw[:4]!r} != {CHECKPOINT_MAGIC!r}")
     if len(raw) < 16:
-        raise CorruptPayload(f"checkpoint header truncated at {len(raw)} of 16 bytes")
+        raise DataError(f"checkpoint header truncated at {len(raw)} of 16 bytes")
     version, meta_len = struct.unpack_from("<IQ", raw, 4)
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        raise DataError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     header_end = 16 + meta_len
     if len(raw) < header_end:
-        raise CorruptPayload("metadata block truncated")
+        raise DataError("metadata block truncated")
     try:
         meta = json.loads(raw[16:header_end].decode("utf-8"))
         if meta["dtype"] not in ("float32", "float64"):
@@ -397,8 +388,8 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
             model.parameters(), t=operator.index(adam_meta["t"]),
             beta1=float(adam_meta["beta1"]), beta2=float(adam_meta["beta2"]),
             eps=float(adam_meta["eps"]))
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise CorruptPayload(f"malformed checkpoint metadata: {exc!r}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint metadata: {exc!r}") from None
     stored = model.dtype.newbyteorder("<")
 
     # every array the model (and Adam, if saved) needs, exactly once, in its shape
@@ -407,26 +398,26 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
     offset = header_end
     for key, shape in index:
         if key not in expected:
-            raise CorruptPayload(f"unexpected array {key[0]} {key[1]!r}")
+            raise DataError(f"unexpected array {key[0]} {key[1]!r}")
         if key in loaded:
-            raise CorruptPayload(f"array {key[0]} {key[1]!r} appears twice")
+            raise DataError(f"array {key[0]} {key[1]!r} appears twice")
         if shape != expected[key].shape:
-            raise CorruptPayload(f"array {key[0]} {key[1]!r} has shape {shape}, "
-                                 f"the model needs {expected[key].shape}")
+            raise DataError(f"array {key[0]} {key[1]!r} has shape {shape}, "
+                            f"the model needs {expected[key].shape}")
         count = int(np.prod(shape, dtype=np.int64))
         nbytes = count * stored.itemsize
         if len(raw) < offset + nbytes:
-            raise CorruptPayload(f"array {key[1]} truncated")
+            raise DataError(f"array {key[1]} truncated")
         expected[key][...] = np.frombuffer(raw, dtype=stored, count=count,
                                            offset=offset).reshape(shape)
         loaded.add(key)
         offset += nbytes
     missing = sorted(expected.keys() - loaded)
     if missing:
-        raise CorruptPayload(f"{len(missing)} arrays missing, first {missing[0][0]} "
-                             f"{missing[0][1]!r}")
+        raise DataError(f"{len(missing)} arrays missing, first {missing[0][0]} "
+                        f"{missing[0][1]!r}")
     if offset != len(raw):
-        raise CorruptPayload(f"{len(raw) - offset} trailing bytes after the last array")
+        raise DataError(f"{len(raw) - offset} trailing bytes after the last array")
     return model, adam, history
 
 

@@ -11,7 +11,7 @@ summaries) build on szdl's public API.
 import numpy as np
 
 from szdl import ops
-from szdl.errors import ShapeMismatch
+from szdl.errors import DataError
 from szdl.gradcam import CamVolume, threshold_cam
 from szdl.manifest import SPLITS
 from szdl.tensor import Tape, Tensor, backward
@@ -194,7 +194,7 @@ def batchnorm_input_grad(x, gamma, grad, mode, mean, var, eps=1e-5):
 
 def mul(x: Tensor, y: Tensor, tape: Tape | None = None) -> Tensor:
     if x.shape != y.shape:
-        raise ShapeMismatch(f"elementwise shapes differ: {x.shape} vs {y.shape}")
+        raise DataError(f"elementwise shapes differ: {x.shape} vs {y.shape}")
     result = Tensor(x.data * y.data)
     if tape is not None:
         def bwd(grad, needs):
@@ -255,8 +255,8 @@ def predict_likelihood(model, volume) -> float:
     """Eval-mode softmax probability of the schizophrenia class for one scan."""
     extent = model.config.input_extent
     if volume.extents not in ((extent,) * 3, (2 * extent,) * 3):
-        raise ShapeMismatch(f"volume extents {volume.extents} match neither "
-                            f"{extent}^3 nor {2 * extent}^3")
+        raise DataError(f"volume extents {volume.extents} match neither "
+                        f"{extent}^3 nor {2 * extent}^3")
     x = Tensor(volume.data[None, None].astype(model.dtype))
     return float(model.apply(x, mode="eval").probs.data[0, 1])
 
@@ -287,7 +287,7 @@ def localization_score(cam: CamVolume, roi_mask: np.ndarray, threshold: float = 
     """Fraction of suprathreshold CAM voxels that fall inside the ROI."""
     roi_mask = np.asarray(roi_mask, dtype=bool)
     if roi_mask.shape != cam.values.shape:
-        raise ShapeMismatch(f"ROI shape {roi_mask.shape} != CAM shape {cam.values.shape}")
+        raise DataError(f"ROI shape {roi_mask.shape} != CAM shape {cam.values.shape}")
     hot = threshold_cam(cam, threshold)
     total = int(hot.sum())
     if total == 0:

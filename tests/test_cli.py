@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from szdl.cli import load_run_config, main, read_scores_csv, save_run_config
 from szdl.errors import DataError
-from szdl.manifest import load_manifest
+from szdl.manifest import load_manifest, save_manifest
 from szdl.model import ModelConfig
 from szdl.nifti import Volume, load_volume, save_volume
 from szdl.train import CHECKPOINT_VERSION, TrainConfig
@@ -221,6 +222,36 @@ class TestTrainPipeline:
         vol = load_volume(cam_dir / "cam.nii")
         assert vol.extents == (16, 16, 16)
         assert (cam_dir / "cam_axial.pgm").exists()
+
+    def test_eval_single_class_split_exit_2_writes_nothing(self, trained, tmp_path, capsys):
+        code, root, data, cfg, out = trained
+        records = [replace(r, split="val") if r.split == "test" and r.label == 0 else r
+                   for r in load_manifest(data / "manifest.json")]
+        assert {r.label for r in records if r.split == "test"} == {1}
+        save_manifest(records, tmp_path / "manifest.json")
+        report_dir = tmp_path / "eval"
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", out / "model.ckpt", "--manifest",
+                   tmp_path / "manifest.json", "--data-root", data, "--split", "test",
+                   "--out", report_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "'test'" in err
+        assert "Traceback" not in err
+        assert list(report_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["eval", "cam"])
+    def test_wrong_extent_scans_exit_2(self, trained, tmp_path, capsys, command):
+        code, root, data, cfg, out = trained
+        wide = tmp_path / "wide"
+        run("synth", "--out", wide, "--count", 5, "--size", 24, "--seed", 4)
+        run("split", wide / "manifest.json", "--seed", 2)
+        capsys.readouterr()
+        assert run(command, "--checkpoint", out / "model.ckpt", "--manifest",
+                   wide / "manifest.json", "--split", "train", "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: input extent (24, 24, 24)")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["eval", "cam"])
     def test_unusable_out_exit_1(self, trained, tmp_path, capsys, command):

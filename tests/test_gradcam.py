@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from szdl import ops
-from szdl.errors import EmptyList, MixedExtents, ShapeMismatch
+from szdl.errors import DataError
 from szdl.gradcam import (
     CamVolume,
     average_cam,
@@ -137,7 +137,7 @@ class TestGradCam:
             np.testing.assert_array_equal(a, b, err_msg=f"{role} {name}")
 
     def test_wrong_extent(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match=r"input extent \(12, 12, 12\) matches neither"):
             grad_cam(toy_model(), random_volume(extent=12), 1)
 
     def test_full_resolution_input_maps_to_model_grid(self):
@@ -234,9 +234,9 @@ class TestAverageCam:
         np.testing.assert_allclose(out.values, expected, atol=1e-6)
 
     def test_errors(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(DataError, match="need at least one CAM to average"):
             average_cam([])
-        with pytest.raises(MixedExtents):
+        with pytest.raises(DataError, match="CAM extents differ"):
             average_cam([self._cam(np.zeros((4, 4, 4))),
                          self._cam(np.zeros((5, 5, 5)))])
 
@@ -283,7 +283,7 @@ class TestThresholdAndLocalization:
         assert localization_score(self._cam(values), roi, 0.85) == 0.75
 
     def test_localization_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="ROI shape"):
             localization_score(self._cam(np.zeros((4, 4, 4))),
                                np.ones((5, 5, 5), dtype=bool))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szdl.errors import DataError, EmptyManifest, SingleClass, UnknownSite
+from szdl.errors import DataError
 from szdl.manifest import (
     ScanRecord,
     assign_splits,
@@ -78,11 +78,11 @@ class TestAssignSplits:
         assert a != c
 
     def test_empty_manifest(self):
-        with pytest.raises(EmptyManifest):
+        with pytest.raises(DataError, match="cannot split an empty manifest"):
             assign_splits([])
 
     def test_single_class(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(DataError, match="both labels must be present to stratify"):
             assign_splits(make_records(10, 0))
 
     def test_already_assigned_rejected(self):
@@ -122,7 +122,7 @@ class TestHoldOutSite:
         assert abs(n_train - 0.9 * len(rest)) <= 4
 
     def test_unknown_site(self):
-        with pytest.raises(UnknownSite):
+        with pytest.raises(DataError, match="site 'SYNTH' has no records in this manifest"):
             hold_out_site(make_records(5, 5, site="COBRE"), "SYNTH")
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from szdl import ops
-from szdl.errors import BadInputExtent, IndivisibleSERatio, ShapeMismatch
+from szdl.errors import DataError
 from szdl.model import (
     Model,
     ModelConfig,
@@ -31,11 +31,11 @@ class TestConfig:
         ModelConfig().validate()
 
     def test_indivisible_se_ratio(self):
-        with pytest.raises(IndivisibleSERatio):
+        with pytest.raises(ValueError, match="se_ratio 7 does not divide"):
             ModelConfig(se_ratio=7).validate()
 
     def test_bad_input_extent(self):
-        with pytest.raises(BadInputExtent):
+        with pytest.raises(ValueError, match="input_extent 24 must be a positive multiple"):
             ModelConfig(input_extent=24).validate()
 
     def test_round_trip_dict(self):
@@ -184,7 +184,7 @@ class TestForward:
 
     def test_wrong_extent_rejected(self):
         model = build_model(toy_config(), seed=1)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match=r"input extent \(20, 20, 20\) matches neither"):
             model.apply(Tensor(np.zeros((1, 1, 20, 20, 20), dtype=np.float32)))
 
     def test_gradient_flow_every_layer(self):
@@ -222,7 +222,7 @@ class TestPredictLikelihood:
 
     def test_extent_mismatch(self):
         model = build_model(toy_config(), seed=2)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match=r"volume extents \(20, 20, 20\) match neither"):
             predict_likelihood(model, Volume(np.zeros((20, 20, 20), dtype=np.float32)))
 
 

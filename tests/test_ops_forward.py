@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from szdl import ops
-from szdl.errors import BadLabel, BadProbability, DegenerateBatch, OddExtent, ShapeMismatch
+from szdl.errors import DataError
 from szdl.tensor import Tensor
 
 from oracles import activation, conv3d_loops, matmul_loops, mean_loops
@@ -35,7 +35,7 @@ class TestConv3d:
         np.testing.assert_allclose(out.data, conv3d_loops(x, w, b), atol=1e-12)
 
     def test_channel_mismatch_raises(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="input channels 2 != kernel channels 3"):
             ops.conv3d(Tensor(np.zeros((1, 2, 4, 4, 4))),
                        Tensor(np.zeros((1, 3, 3, 3, 3))), Tensor(np.zeros(1)))
 
@@ -58,7 +58,7 @@ class TestMaxpool:
         assert arg[0, 0, 0, 0, 0] == 0
 
     def test_odd_extent_rejected(self):
-        with pytest.raises(OddExtent):
+        with pytest.raises(DataError, match=r"spatial extents \(3, 4, 4\) must be even"):
             ops.maxpool3d(Tensor(np.zeros((1, 1, 3, 4, 4))))
 
 
@@ -100,7 +100,7 @@ class TestBatchnorm:
 
     def test_degenerate_batch(self):
         state = ops.BNState(np.zeros(1), np.ones(1))
-        with pytest.raises(DegenerateBatch):
+        with pytest.raises(DataError, match="needs >= 2 elements per channel"):
             ops.batchnorm3d(Tensor(np.zeros((1, 1, 1, 1, 1))),
                             Tensor(np.ones(1)), Tensor(np.zeros(1)), "train", state)
 
@@ -140,7 +140,7 @@ class TestDense:
         np.testing.assert_allclose(out.data, matmul_loops(x, w, b), atol=1e-12)
 
     def test_inner_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DataError, match="inner extents differ"):
             ops.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
 
 
@@ -180,7 +180,7 @@ class TestDropout:
         assert 0.98 <= out.data.mean() <= 1.02
 
     def test_bad_probability(self):
-        with pytest.raises(BadProbability):
+        with pytest.raises(ValueError, match="dropout probability must be in"):
             ops.dropout(Tensor(np.zeros(2)), 1.0, "train", np.random.default_rng(0))
 
 
@@ -194,7 +194,7 @@ class TestCrossEntropy:
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_bad_label(self):
-        with pytest.raises(BadLabel):
+        with pytest.raises(DataError, match=r"labels must be integers in \[0, 2\)"):
             ops.cross_entropy(Tensor(np.zeros((1, 2))), np.array([2]))
 
 
@@ -218,5 +218,5 @@ class TestDownsample:
         assert ops.downsample2x(Tensor(x), mode="nearest").data[0, 0, 0] == 0.0
 
     def test_odd_extent(self):
-        with pytest.raises(OddExtent):
+        with pytest.raises(DataError, match=r"spatial extents \(3, 4, 4\) must be even"):
             ops.downsample2x(Tensor(np.zeros((3, 4, 4))))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from szdl.errors import SizeTooSmall
 from szdl.phantom import PhantomSpec, cavity_roi, generate_phantom
 
 from oracles import central_region
@@ -64,7 +63,7 @@ class TestGeometry:
 
 class TestValidation:
     def test_size_too_small(self):
-        with pytest.raises(SizeTooSmall):
+        with pytest.raises(ValueError, match="phantom size must be >= 16"):
             PhantomSpec(size=8)
 
     def test_negative_effect(self):

@@ -1,4 +1,5 @@
-"""Every public name that src/szdl defines is used by src/ or bench/, not only by tests."""
+"""The public surface of src/szdl: every public name is used by src/ or bench/, not only
+by tests, and every exception raised is the type of one CLI exit code."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,43 @@ def test_no_public_name_only_tests_use():
     unused = [f"{owner}.{name}" for owner, name in defined
               if not name.startswith("_") and name not in used]
     assert not unused, f"public API that only tests call: {unused}"
+
+
+def _raised_name(node):
+    """Dotted name of the class a ``raise`` statement raises."""
+    if node.exc is None:
+        return "(re-raise)"
+    return ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+
+
+def test_errors_defines_only_the_two_exit_code_types():
+    tree = ast.parse((ROOT / "src/szdl/errors.py").read_text())
+    assert [n.name for n in tree.body if isinstance(n, ast.ClassDef)] == [
+        "DataError", "NumericalError"]
+
+
+def test_every_raise_names_an_exit_code_type():
+    """DataError (exit 2), NumericalError (exit 3) or ValueError (exit 1), bar the listed spots."""
+    unexpected = []
+    for path, tree in _trees("src/szdl"):
+        lines = path.read_text().splitlines()
+        owner = {}  # node -> innermost enclosing function; walk visits outer functions first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            name = _raised_name(node)
+            if name in ("DataError", "NumericalError", "ValueError"):
+                continue
+            if name == "AssertionError" and lines[node.lineno - 2].endswith("# pragma: no cover"):
+                name += " (no cover)"
+            unexpected.append((path.stem, owner.get(node, "<module>"), name))
+    assert sorted(unexpected) == [
+        ("augment", "apply_plan", "AssertionError (no cover)"),
+        ("cli", "_out_dir", "argparse.ArgumentTypeError"),
+        ("config", "from_dict", "TypeError"),  # both callers turn it into ValueError or DataError
+        ("config", "from_dict", "TypeError"),
+        ("model", "apply", "AssertionError (no cover)"),
+    ]

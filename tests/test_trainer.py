@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from szdl.errors import (
-    BadMagic,
-    CorruptPayload,
-    EmptySplit,
-    NonFiniteGradient,
-    SingleClassSplit,
-    VersionMismatch,
-)
+from szdl.errors import DataError, NumericalError
 from szdl.manifest import assign_splits
 from szdl.model import ModelConfig, build_model
 from szdl.phantom import PhantomSpec, synthesize_dataset
@@ -91,7 +84,7 @@ class TestAdam:
     def test_non_finite_gradient_rejected(self):
         p = self._scalar_param()
         state = AdamState.for_params([p])
-        with pytest.raises(NonFiniteGradient):
+        with pytest.raises(NumericalError, match=r"gradient of \S+ is not finite"):
             adam_step([p], [np.array([np.nan])], state, lr=1e-3)
 
 
@@ -160,13 +153,13 @@ class TestFit:
     def test_empty_split_rejected(self, small_dataset):
         root, records = small_dataset
         train_only = [r for r in records if r.split == "train"]
-        with pytest.raises(EmptySplit):
+        with pytest.raises(DataError, match="val split is empty"):
             fit(tiny_train_config(), train_only, data_root=root)
 
     def test_single_class_split_rejected(self, small_dataset):
         root, records = small_dataset
         skewed = [r for r in records if r.split != "val" or r.label == 1]
-        with pytest.raises(SingleClassSplit):
+        with pytest.raises(DataError, match="val split holds a single class"):
             fit(tiny_train_config(), skewed, data_root=root)
 
 
@@ -191,14 +184,14 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(BadMagic):
+        with pytest.raises(DataError, match="checkpoint magic"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
         import struct
         path = tmp_path / "v9.ckpt"
         path.write_bytes(b"SZDL" + struct.pack("<IQ", 9, 2) + b"{}")
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(DataError, match="checkpoint version 9"):
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -208,7 +201,7 @@ class TestCheckpoint:
         save_checkpoint(model, None, None, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-100])
-        with pytest.raises(CorruptPayload):
+        with pytest.raises(DataError, match=r"array \S+ truncated"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
@@ -217,7 +210,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, None, None, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(CorruptPayload):
+        with pytest.raises(DataError, match="8 trailing bytes after the last array"):
             load_checkpoint(path)
 
     @staticmethod
@@ -260,14 +253,14 @@ class TestCheckpoint:
         def drop(meta, arrays):
             arrays[:] = [a for a in arrays if a[0]["name"] != "block1.conv1.weight"]
         path, _ = self._edited_checkpoint(tmp_path, drop)
-        with pytest.raises(CorruptPayload, match="missing"):
+        with pytest.raises(DataError, match="arrays missing"):
             load_checkpoint(path)
 
     def test_duplicate_array(self, tmp_path):
         def repeat(meta, arrays):
             arrays.append(next(a for a in arrays if a[0]["name"] == "block1.conv1.bias"))
         path, _ = self._edited_checkpoint(tmp_path, repeat)
-        with pytest.raises(CorruptPayload, match="twice"):
+        with pytest.raises(DataError, match="appears twice"):
             load_checkpoint(path)
 
     def test_unknown_name(self, tmp_path):
@@ -275,7 +268,7 @@ class TestCheckpoint:
             arrays.append([{"role": "param", "name": "block9.conv1.bias", "shape": [2]},
                            b"\x00" * 8])
         path, _ = self._edited_checkpoint(tmp_path, add)
-        with pytest.raises(CorruptPayload, match="unexpected"):
+        with pytest.raises(DataError, match="unexpected array"):
             load_checkpoint(path)
 
     def test_shape_differs(self, tmp_path):
@@ -283,14 +276,14 @@ class TestCheckpoint:
             entry = next(a[0] for a in arrays if a[0]["name"] == "block1.conv1.bias")
             entry["shape"] = [1] + entry["shape"]  # same byte count, wrong shape
         path, _ = self._edited_checkpoint(tmp_path, reshape)
-        with pytest.raises(CorruptPayload, match="shape"):
+        with pytest.raises(DataError, match="has shape"):
             load_checkpoint(path)
 
     def test_adam_arrays_without_adam_metadata(self, tmp_path):
         def drop_adam(meta, arrays):
             meta["adam"] = None
         path, _ = self._edited_checkpoint(tmp_path, drop_adam, adam=True)
-        with pytest.raises(CorruptPayload, match="adam_m"):
+        with pytest.raises(DataError, match="unexpected array adam_m"):
             load_checkpoint(path)
 
     def test_float64_round_trip_bit_exact(self, tmp_path):
@@ -342,9 +335,8 @@ class TestGeneralization:
         assert 0.0 <= report["auc"] <= 1.0
 
     def test_unknown_site_raises(self, small_dataset):
-        from szdl.errors import UnknownSite
         root, records = small_dataset
-        with pytest.raises(UnknownSite):
+        with pytest.raises(DataError, match="site 'COBRE' has no records in this manifest"):
             run_generalization(tiny_train_config(), records, "COBRE", data_root=root)
 
 
