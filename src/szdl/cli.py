@@ -22,7 +22,7 @@ from .augment import AugmentSpec, apply_plan, plan_pipeline
 from .errors import DataError, NumericalError
 from .evalstats import ScoredSet, delong_test, report_dict
 from .gradcam import average_cam, export_cam, grad_cam, threshold_cam, write_mid_slices
-from .manifest import SITES, assign_splits, hold_out_site, load_manifest, save_manifest
+from .manifest import SITES, SPLITS, assign_splits, hold_out_site, load_manifest, save_manifest
 from .model import ModelConfig, build_model
 from .nifti import load_volume, save_volume
 from .phantom import PhantomSpec, synthesize_dataset
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores-b", default=None, help="second score CSV for a DeLong block")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--data-root", default=None)
     p.add_argument("--out", required=True, type=_out_dir)
     p.set_defaults(func=cmd_eval)
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--volume", default=None)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--target-class", type=int, default=1, choices=(0, 1))
     p.add_argument("--threshold", type=float, default=0.85)
     p.add_argument("--data-root", default=None)

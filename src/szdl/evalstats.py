@@ -20,6 +20,8 @@ from scipy import stats
 
 from .errors import DataError
 
+_REPORT_THRESHOLD = 0.5  # the likelihood cut of a report's threshold metrics
+
 
 @dataclass(frozen=True)
 class ScoredSet:
@@ -127,7 +129,7 @@ def operating_point(points) -> float:
     return float(points[len(j) - 1 - int(np.argmax(j[::-1]))].threshold)
 
 
-def report_dict(scored: ScoredSet, report_threshold: float = 0.5) -> dict:
+def report_dict(scored: ScoredSet) -> dict:
     """JSON-ready evaluation report: AUC, threshold metrics, operating point, curve."""
     points = roc_curve(scored)
     op = operating_point(points)
@@ -135,8 +137,8 @@ def report_dict(scored: ScoredSet, report_threshold: float = 0.5) -> dict:
         "n": int(len(scored.labels)),
         "n_positive": int(scored.labels.sum()),
         "auc": auc(scored),
-        "threshold": report_threshold,
-        **metrics_at(scored, report_threshold),
+        "threshold": _REPORT_THRESHOLD,
+        **metrics_at(scored, _REPORT_THRESHOLD),
         "operating_point": {"threshold": op, **metrics_at(scored, op)},
         "curve": [{"threshold": p.threshold if math.isfinite(p.threshold) else None,
                    "fpr": p.fpr, "tpr": p.tpr} for p in points],

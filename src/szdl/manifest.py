@@ -65,6 +65,8 @@ def load_manifest(path) -> list[ScanRecord]:
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or set(item) != set(_KEYS):
             raise DataError(f"record {i} must have exactly the keys {_KEYS}")
+        if type(item["label"]) is not int:  # rejects 1.0 and true, which equal 1
+            raise DataError(f"record {i} label must be a JSON integer, got {item['label']!r}")
         records.append(ScanRecord(str(item["subject_id"]), str(item["scan_path"]),
                                   item["label"], str(item["site"]), str(item["split"])))
     validate_records(records)

@@ -44,9 +44,6 @@ class ModelConfig(JsonConfig):
     classifier_dims: tuple[int, int] = (128, 16)
     dropout_p: float = 0.5
     width_scale: float = 1.0
-    mid_sigmoid: bool = True       # sigmoid between dense layers 2 and 3, as published
-    se_after_relu: bool = False    # ablation: SE after ReLU instead of before
-    downsample_mode: str = "mean"  # "mean" (anti-aliasing) or "nearest"
 
     def scaled_channels(self) -> tuple[int, ...]:
         scaled = []
@@ -73,9 +70,6 @@ class ModelConfig(JsonConfig):
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if len(self.classifier_dims) != 2:
             raise ValueError("classifier_dims must list the two hidden dense widths")
-        if self.downsample_mode not in ("mean", "nearest"):
-            raise ValueError(f"downsample_mode must be mean or nearest, "
-                             f"got {self.downsample_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,7 @@ class Model:
             kind = layer.kind
             if kind == "downsample":
                 if needs_downsample:
-                    cur = ops.downsample2x(cur, mode=self.config.downsample_mode, tape=tape)
+                    cur = ops.downsample2x(cur, tape=tape)
             elif kind == "conv":
                 cur = ops.conv3d(cur, self.params[layer.name + ".weight"],
                                  self.params[layer.name + ".bias"], tape=tape)
@@ -238,12 +232,8 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
         prefix = f"block{block}"
         add_conv(f"{prefix}.conv{idx}", cin, cout)
         add_bn(f"{prefix}.bn{idx}", cout)
-        if config.se_after_relu:
-            model.layers.append(LayerInfo("relu", f"{prefix}.relu{idx}"))
-            add_se(f"{prefix}.se{idx}", cout)
-        else:
-            add_se(f"{prefix}.se{idx}", cout)
-            model.layers.append(LayerInfo("relu", f"{prefix}.relu{idx}"))
+        add_se(f"{prefix}.se{idx}", cout)
+        model.layers.append(LayerInfo("relu", f"{prefix}.relu{idx}"))
 
     channels = config.scaled_channels()
     model.layers.append(LayerInfo("downsample", "downsample"))
@@ -272,8 +262,7 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     model.layers.append(LayerInfo("relu", "classifier.relu1"))
     model.layers.append(LayerInfo("dropout", "classifier.drop2"))
     add_dense("classifier.fc2", h1, h2)
-    if config.mid_sigmoid:
-        model.layers.append(LayerInfo("sigmoid", "classifier.sigmoid"))
+    model.layers.append(LayerInfo("sigmoid", "classifier.sigmoid"))
     add_dense("classifier.fc3", h2, 2)
     model.layers.append(LayerInfo("softmax", "classifier.softmax"))
     return model

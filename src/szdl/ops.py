@@ -34,45 +34,40 @@ def _reduce(a: np.ndarray, axis, dtype) -> np.ndarray:
 # convolution
 
 
-def _im2col(sample: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """[C,D,H,W] -> contiguous [C*k^3, Do*Ho*Wo] column matrix."""
+def _im2col(sample: np.ndarray) -> np.ndarray:
+    """[C,D,H,W] -> contiguous [C*27, D*H*W] column matrix of zero-padded 3^3 windows."""
     c = sample.shape[0]
-    xp = np.pad(sample, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
-    # [C, Do, Ho, Wo, k, k, k] -> [C, k, k, k, Do, Ho, Wo]
+    xp = np.pad(sample, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3, 3), axis=(1, 2, 3))
+    # [C, D, H, W, 3, 3, 3] -> [C, 3, 3, 3, D, H, W]
     win = win.transpose(0, 4, 5, 6, 1, 2, 3)
     spatial = win.shape[4] * win.shape[5] * win.shape[6]
-    return np.ascontiguousarray(win).reshape(c * k * k * k, spatial)
+    return np.ascontiguousarray(win).reshape(c * 27, spatial)
 
 
-def conv3d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1,
-           tape: Tape | None = None) -> Tensor:
-    """3D cross-correlation with cubic kernel, zero padding, stride 1.
+def conv3d(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+    """3D cross-correlation with a 3x3x3 kernel, zero padding 1, stride 1.
 
-    ``x`` is [N, Cin, D, H, W], ``w`` is [Cout, Cin, k, k, k], ``b`` is
-    [Cout].  Spatial extents are preserved when ``pad = (k-1)/2``.  Each
-    sample's im2col buffer lives only for its forward GEMM; backward
-    rebuilds it for the weight gradient, so the tape keeps no copy.
+    ``x`` is [N, Cin, D, H, W], ``w`` is [Cout, Cin, 3, 3, 3], ``b`` is
+    [Cout]; spatial extents are preserved.  Each sample's im2col buffer
+    lives only for its forward GEMM; backward rebuilds it for the weight
+    gradient, so the tape keeps no copy.
     """
     if x.data.ndim != 5 or w.data.ndim != 5:
         raise DataError(f"conv3d expects 5-d input/kernel, got {x.shape}/{w.shape}")
     n, cin, d, h, wd = x.shape
-    cout, cin_w, kd, kh, kw = w.shape
+    cout, cin_w = w.shape[:2]
     if cin != cin_w:
         raise DataError(f"input channels {cin} != kernel channels {cin_w}")
-    if not (kd == kh == kw):
-        raise DataError("kernel must be cubic")
+    if w.shape[2:] != (3, 3, 3):
+        raise DataError(f"kernel must be 3x3x3, got {w.shape[2:]}")
     if b.shape != (cout,):
         raise DataError(f"bias shape {b.shape} != ({cout},)")
-    k = kd
-    do, ho, wo = d + 2 * pad - k + 1, h + 2 * pad - k + 1, wd + 2 * pad - k + 1
-    if min(do, ho, wo) < 1:
-        raise DataError("kernel larger than padded input")
 
-    w_mat = w.data.reshape(cout, cin * k * k * k)
-    out = np.empty((n, cout, do, ho, wo), dtype=x.dtype)
+    w_mat = w.data.reshape(cout, cin * 27)
+    out = np.empty((n, cout, d, h, wd), dtype=x.dtype)
     for i in range(n):
-        np.add((w_mat @ _im2col(x.data[i], k, pad)).reshape(cout, do, ho, wo),
+        np.add((w_mat @ _im2col(x.data[i])).reshape(cout, d, h, wd),
                b.data[:, None, None, None], out=out[i])
 
     result = Tensor(out)
@@ -80,22 +75,21 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1,
         def bwd(grad, needs):
             need_x, need_w, need_b = needs
             dw = np.zeros_like(w.data) if need_w else None
-            dx = np.zeros((n, cin, d + 2 * pad, h + 2 * pad, wd + 2 * pad),
-                          dtype=x.dtype) if need_x else None
-            dw_mat = dw.reshape(cout, cin * k * k * k) if need_w else None
+            dx = np.zeros((n, cin, d + 2, h + 2, wd + 2), dtype=x.dtype) if need_x else None
+            dw_mat = dw.reshape(cout, cin * 27) if need_w else None
             for i in range(n):
-                g = grad[i].reshape(cout, do * ho * wo)
+                g = grad[i].reshape(cout, d * h * wd)
                 if need_w:
-                    dw_mat += g @ _im2col(x.data[i], k, pad).T
+                    dw_mat += g @ _im2col(x.data[i]).T
                 if need_x:
-                    colgrad = (w_mat.T @ g).reshape(cin, k, k, k, do, ho, wo)
-                    for a in range(k):
-                        for bb in range(k):
-                            for c in range(k):
-                                dx[i, :, a:a + do, bb:bb + ho, c:c + wo] += colgrad[:, a, bb, c]
+                    colgrad = (w_mat.T @ g).reshape(cin, 3, 3, 3, d, h, wd)
+                    for a in range(3):
+                        for bb in range(3):
+                            for c in range(3):
+                                dx[i, :, a:a + d, bb:bb + h, c:c + wd] += colgrad[:, a, bb, c]
                     del colgrad  # free before the next sample's buffers
             if need_x:
-                dx = np.ascontiguousarray(dx[:, :, pad:pad + d, pad:pad + h, pad:pad + wd])
+                dx = np.ascontiguousarray(dx[:, :, 1:1 + d, 1:1 + h, 1:1 + wd])
             db = _reduce(grad, (0, 2, 3, 4), x.dtype) if need_b else None
             return dx, dw, db
 
@@ -144,30 +138,22 @@ def maxpool3d(x: Tensor, tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
     return result, arg
 
 
-def downsample2x(x: Tensor, mode: str = "mean", tape: Tape | None = None) -> Tensor:
-    """Halve the last three extents by 2x2x2 block mean (or nearest corner)."""
+def downsample2x(x: Tensor, tape: Tape | None = None) -> Tensor:
+    """Halve the last three extents by 2x2x2 block mean."""
     if x.data.ndim < 3:
         raise DataError("downsample2x needs at least 3 trailing spatial axes")
     d, h, w = x.shape[-3:]
     _require_even((d, h, w))
     lead = x.shape[:-3]
-    if mode == "mean":
-        blocks = x.data.reshape(*lead, d // 2, 2, h // 2, 2, w // 2, 2)
-        out = blocks.mean(axis=(-5, -3, -1), dtype=np.float64).astype(x.dtype)
-    elif mode == "nearest":
-        out = np.ascontiguousarray(x.data[..., ::2, ::2, ::2])
-    else:
-        raise ValueError(f"unknown downsample mode {mode!r}")
+    blocks = x.data.reshape(*lead, d // 2, 2, h // 2, 2, w // 2, 2)
+    out = blocks.mean(axis=(-5, -3, -1), dtype=np.float64).astype(x.dtype)
 
     result = Tensor(out)
     if tape is not None:
         def bwd(grad, needs):
             dx = np.zeros_like(x.data)
             view = dx.reshape(*lead, d // 2, 2, h // 2, 2, w // 2, 2)
-            if mode == "mean":
-                view += (grad / 8)[..., :, None, :, None, :, None]
-            else:
-                view[..., :, 0, :, 0, :, 0] = grad
+            view += (grad / 8)[..., :, None, :, None, :, None]
             return (dx,)
 
         tape.record(result, (x,), bwd)
@@ -194,6 +180,9 @@ def global_avg_pool(x: Tensor, tape: Tape | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 # batch normalization
 
+_BN_MOMENTUM = 0.1  # weight of the batch statistic in the running averages
+_BN_EPS = 1e-5
+
 
 @dataclass
 class BNState:
@@ -207,7 +196,6 @@ class BNState:
 
 
 def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNState,
-                momentum: float = 0.1, eps: float = 1e-5,
                 tape: Tape | None = None) -> Tensor:
     """Per-channel normalization over (N, D, H, W) with learned scale/shift.
 
@@ -228,11 +216,12 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNStat
         mean = x.data.mean(axis=(0, 2, 3, 4), dtype=np.float64)
         xhat = x.data - mean[None, :, None, None, None].astype(x.dtype)  # centred
         var = np.square(xhat, dtype=np.float64).mean(axis=(0, 2, 3, 4), dtype=np.float64)
-        istd = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+        istd = (1.0 / np.sqrt(var + _BN_EPS)).astype(x.dtype)
+        momentum = _BN_MOMENTUM
         state.mean[...] = (1 - momentum) * state.mean + momentum * mean.astype(state.mean.dtype)
         state.var[...] = (1 - momentum) * state.var + momentum * var.astype(state.var.dtype)
     else:
-        istd = (1.0 / np.sqrt(state.var.astype(np.float64) + eps)).astype(x.dtype)
+        istd = (1.0 / np.sqrt(state.var.astype(np.float64) + _BN_EPS)).astype(x.dtype)
         xhat = x.data - state.mean.astype(x.dtype)[None, :, None, None, None]
     istd5 = istd[None, :, None, None, None]
     xhat *= istd5

@@ -24,32 +24,27 @@ _CAVITY_SEMI = np.array([0.10, 0.16, 0.10])
 _CAVITY_OFFSET = 0.22  # mirrored along the first axis
 _BRAIN_BRIGHT = 0.85
 _CAVITY_DARK = 0.05
+# label-independent ellipsoidal intensity blobs scattered through the brain:
+# per-subject anatomy noise that rules out global intensity statistics as a
+# class shortcut, so a classifier has to read the actual cavity geometry (and
+# its attention maps have something local to find)
+_CLUTTER_BLOBS = 14
 
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Shape and randomness controls for one synthetic subject.
-
-    ``clutter_blobs`` scatters label-independent ellipsoidal intensity blobs
-    through the brain: per-subject anatomy noise that rules out global
-    intensity statistics as a class shortcut, so a classifier has to read
-    the actual cavity geometry (and its attention maps have something local
-    to find).
-    """
+    """Shape and randomness controls for one synthetic subject."""
 
     size: int = 48
     effect_size: float = 0.5
     noise_std: float = 0.05
     seed: int = 0
-    clutter_blobs: int = 14
 
     def __post_init__(self):
         if self.size < 16:
             raise ValueError(f"phantom size must be >= 16, got {self.size}")
         if self.effect_size < 0 or self.noise_std < 0:
             raise ValueError("effect_size and noise_std must be non-negative")
-        if self.clutter_blobs < 0:
-            raise ValueError("clutter_blobs must be non-negative")
 
 
 def _normalized_grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,7 +94,7 @@ def generate_phantom(spec: PhantomSpec, label: int) -> Volume:
     cavity_scale = 1.0 + rng.uniform(-0.08, 0.08, 3)
     separation = _CAVITY_OFFSET + rng.uniform(-0.02, 0.02)
     noise = rng.standard_normal((spec.size,) * 3)
-    blob_params = _draw_blobs(rng, spec.clutter_blobs)
+    blob_params = _draw_blobs(rng)
 
     grow = 1.0 + spec.effect_size * label
     values, cavity = _compose(spec.size, grow, brain_scale, offset, cavity_scale,
@@ -120,10 +115,10 @@ def generate_phantom(spec: PhantomSpec, label: int) -> Volume:
     return Volume(values.astype(np.float32), voxel_size=(1.0, 1.0, 1.0))
 
 
-def _draw_blobs(rng: np.random.Generator, count: int) -> list[tuple]:
+def _draw_blobs(rng: np.random.Generator) -> list[tuple]:
     """Label-independent clutter parameters, always drawn from the stream."""
     blobs = []
-    for _ in range(count):
+    for _ in range(_CLUTTER_BLOBS):
         center = rng.uniform(-0.62, 0.62, 3)
         semi = rng.uniform(0.05, 0.12, 3)
         factor = rng.uniform(0.45, 1.25)
@@ -139,8 +134,6 @@ def _paint_blobs(values: np.ndarray, cavity: np.ndarray, blobs: list[tuple],
     signal stays geometrically clean; the darkest blob stays above the 0.2
     cavity threshold.
     """
-    if not blobs:
-        return
     grid = _normalized_grid(size)
     guard = _CAVITY_SEMI * 2.2 + 0.10
     for center, semi, factor in blobs:

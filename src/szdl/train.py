@@ -14,7 +14,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ _STREAM_DROPOUT = 2
 _STREAM_AUGMENT = 3
 
 CHECKPOINT_MAGIC = b"SZDL"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class TrainConfig(JsonConfig):
     batch_size: int = 5
     max_epochs: int = 300
     patience: int = 20
-    min_delta: float = 0.0
     seed: int = 0
     precision: str = "float32"
     augment: bool = True
@@ -79,19 +78,23 @@ class TrainConfig(JsonConfig):
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """First/second moment buffers plus the shared step counter.
+
+    The decay rates and epsilon are Adam's usual constants, fixed for every run.
+    """
+
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[Parameter], **kwargs) -> "AdamState":
+    def for_params(cls, params: list[Parameter], t: int = 0) -> "AdamState":
         return cls(m={p.name: np.zeros_like(p.data) for p in params},
-                   v={p.name: np.zeros_like(p.data) for p in params}, **kwargs)
+                   v={p.name: np.zeros_like(p.data) for p in params}, t=t)
 
 
 def adam_step(params: list[Parameter], grads: list[np.ndarray], state: AdamState,
@@ -153,17 +156,16 @@ class TrainHistory:
 
 
 class EarlyStopTracker:
-    """Stop when the metric fails to improve by min_delta for `patience` epochs."""
+    """Stop when the metric fails to improve for `patience` epochs."""
 
-    def __init__(self, patience: int, min_delta: float = 0.0):
+    def __init__(self, patience: int):
         self.patience = patience
-        self.min_delta = min_delta
         self.best = np.inf
         self.bad_epochs = 0
 
     def update(self, value: float) -> bool:
         """Record one epoch; returns True if this is a new best."""
-        if value < self.best - self.min_delta:
+        if value < self.best:
             self.best = value
             self.bad_epochs = 0
             return True
@@ -239,7 +241,7 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     model = build_model(config.model, seed=config.seed, dtype=dtype)
     adam = AdamState.for_params(model.parameters())
     history = TrainHistory()
-    tracker = EarlyStopTracker(config.patience, config.min_delta)
+    tracker = EarlyStopTracker(config.patience)
     best: Optional[tuple[list[np.ndarray], int]] = None  # state arrays and adam.t
     pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
 
@@ -346,8 +348,7 @@ def save_checkpoint(model: Model, state: Optional[AdamState], history: Optional[
     meta = {
         "model_config": model.config.to_dict(),
         "dtype": str(model.dtype),
-        "adam": None if state is None else {"t": state.t, "beta1": state.beta1,
-                                            "beta2": state.beta2, "eps": state.eps},
+        "adam": None if state is None else {"t": state.t},
         "history": None if history is None else history.to_dict(),
         "arrays": [{"role": role, "name": name, "shape": list(arr.shape)}
                    for role, name, arr in entries],
@@ -385,9 +386,7 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
                             dtype=meta["dtype"])
         adam_meta = meta["adam"]
         adam = None if adam_meta is None else AdamState.for_params(
-            model.parameters(), t=operator.index(adam_meta["t"]),
-            beta1=float(adam_meta["beta1"]), beta2=float(adam_meta["beta2"]),
-            eps=float(adam_meta["eps"]))
+            model.parameters(), t=operator.index(adam_meta["t"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint metadata: {exc!r}") from None
     stored = model.dtype.newbyteorder("<")

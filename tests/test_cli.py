@@ -271,6 +271,18 @@ class TestTrainPipeline:
         assert f"argument --out: cannot create output directory {str(afile)!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "cam"])
+    def test_unknown_split_exit_1(self, trained, tmp_path, capsys, command):
+        code, root, data, cfg, out = trained
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            run(command, "--checkpoint", out / "model.ckpt", "--manifest",
+                data / "manifest.json", "--split", "nope", "--out", tmp_path / "r")
+        assert exited.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --split: invalid choice: 'nope'" in err
+        assert "Traceback" not in err
+
     def test_cam_threshold_out_of_range_writes_nothing(self, trained, tmp_path, capsys):
         code, root, data, cfg, out = trained
         cam_dir = tmp_path / "cam"

@@ -10,7 +10,7 @@ import pytest
 from szdl.augment import AugmentSpec
 from szdl.cli import load_run_config
 from szdl.model import ModelConfig
-from szdl.train import TrainConfig
+from szdl.train import CHECKPOINT_VERSION, TrainConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,7 +18,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def nested_config():
     return TrainConfig(
         model=ModelConfig(input_extent=32, width_scale=1 / 8, se_ratio=4,
-                          classifier_dims=(16, 8), se_after_relu=True),
+                          classifier_dims=(16, 8)),
         augment_spec=AugmentSpec(p_blur=0.5, blur_sigma_range=(0.5, 1.0), elastic_grid=5),
         learning_rate=3e-4, seed=11, augment=False)
 
@@ -65,8 +65,7 @@ class TestValidOnConstruction:
         with pytest.raises(ValueError):
             replace(TrainConfig(), learning_rate=-1)
 
-    @pytest.mark.parametrize("field", [{"classifier_dims": (8, 4, 2)},
-                                       {"downsample_mode": "cubic"}])
+    @pytest.mark.parametrize("field", [{"classifier_dims": (8, 4, 2)}])
     def test_model_config_unbuildable_fields_rejected(self, field):
         with pytest.raises(ValueError):
             ModelConfig(**field)
@@ -85,3 +84,9 @@ class TestReadme:
         cfg = load_run_config(path)
         assert cfg.model == ModelConfig()
         assert cfg.augment_spec == AugmentSpec()
+
+    def test_checkpoint_paragraph_states_version(self):
+        paragraph = re.search(r"- \*\*Checkpoint\*\*.*?(?=\n- \*\*)", README.read_text(),
+                              re.S).group(0)
+        assert f"magic `SZDL`, version {CHECKPOINT_VERSION}," in paragraph
+        assert f"expected {CHECKPOINT_VERSION}`" in paragraph

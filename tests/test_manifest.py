@@ -148,6 +148,17 @@ class TestManifestIO:
         with pytest.raises(DataError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("label", [1.0, True, False])
+    def test_non_integer_label_rejected(self, tmp_path, label):
+        good = {"subject_id": "a", "scan_path": "a.nii", "label": 0, "site": "SYNTH",
+                "split": "train"}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([good, {**good, "subject_id": "b", "scan_path": "b.nii",
+                                           "label": label}]))
+        with pytest.raises(DataError, match=rf"record 1 label must be a JSON integer, "
+                                            rf"got {label!r}"):
+            load_manifest(path)
+
     def test_inconsistent_subject_rejected(self):
         records = [ScanRecord("a", "a0.nii", 0, "SYNTH"),
                    ScanRecord("a", "a1.nii", 1, "SYNTH")]

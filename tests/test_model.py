@@ -65,6 +65,11 @@ class TestStructure:
         assert counts["softmax"] == 1
         assert model.layers[0].kind == "downsample"
 
+    def test_conv_unit_order(self):
+        model = build_model(toy_config(), seed=0)
+        kinds = [l.kind for l in model.layers[1:5]]
+        assert kinds == ["conv", "bn", "se", "relu"]
+
     def test_classifier_order(self):
         model = build_model(ModelConfig(), seed=0)
         tail = [l.kind for l in model.layers if l.name.startswith("classifier")]
@@ -225,17 +230,3 @@ class TestPredictLikelihood:
         with pytest.raises(DataError, match=r"volume extents \(20, 20, 20\) match neither"):
             predict_likelihood(model, Volume(np.zeros((20, 20, 20), dtype=np.float32)))
 
-
-class TestMidSigmoidSwitch:
-    def test_switch_removes_sigmoid_layer(self):
-        model = build_model(toy_config(mid_sigmoid=False), seed=0)
-        assert "sigmoid" not in {layer.kind for layer in model.layers}
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.random((1, 1, 16, 16, 16)).astype(np.float32))
-        probs = model.apply(x, mode="eval").probs
-        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_se_after_relu_reorders(self):
-        model = build_model(toy_config(se_after_relu=True), seed=0)
-        kinds = [l.kind for l in model.layers[1:5]]
-        assert kinds == ["conv", "bn", "relu", "se"]

@@ -1,5 +1,6 @@
 """The public surface of src/szdl: every public name is used by src/ or bench/, not only
-by tests, and every exception raised is the type of one CLI exit code."""
+by tests, every defaulted parameter is passed by some call there, and every exception
+raised is the type of one CLI exit code."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,40 @@ def test_no_public_name_only_tests_use():
     unused = [f"{owner}.{name}" for owner, name in defined
               if not name.startswith("_") and name not in used]
     assert not unused, f"public API that only tests call: {unused}"
+
+
+def _passes(call, index, name):
+    """Whether a call passes parameter ``name`` (at ``index``, if positional)."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that no call in src/ or bench/ overrides is a constant, not a parameter."""
+    calls = {}  # called name -> calls
+    for _, tree in _trees("src/szdl") + _trees("bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for path, tree in _trees("src/szdl"):
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            unpassed += [f"{path.stem}.{fn.name}({name}=)" for index, name in defaulted
+                         if not any(_passes(c, index, name) for c in calls.get(fn.name, []))]
+    # bench runs the CLI through Run.call(name, cli.main, argv), not a call expression
+    assert unpassed == ["cli.main(argv=)"]
 
 
 def _raised_name(node):

@@ -106,12 +106,6 @@ class TestEarlyStopTracker:
         assert tracker.bad_epochs == 0
         assert not tracker.should_stop
 
-    def test_min_delta_counts_marginal_improvement_as_failure(self):
-        tracker = EarlyStopTracker(patience=1, min_delta=0.1)
-        tracker.update(1.0)
-        assert not tracker.update(0.95)
-        assert tracker.should_stop
-
 
 class TestFit:
     def test_loss_decreases_on_separable_phantoms(self, small_dataset):
