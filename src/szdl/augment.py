@@ -63,8 +63,7 @@ class AugmentSpec(JsonConfig):
         if min(self.rotation_max_deg, self.translation_max_mm, self.elastic_max_mm,
                self.bias_coeff_max, self.motion_max_deg, self.motion_max_mm) < 0:
             raise ValueError("magnitude ranges must be non-negative")
-        if self.bias_order > 3 or self.bias_order < 0:
-            raise ValueError(f"bias polynomial order must be in [0, 3], got {self.bias_order}")
+        bias_exponents(self.bias_order)
         if self.elastic_grid < 2:
             raise ValueError("elastic control grid needs at least 2 points per axis")
         if self.motion_max_transforms < 1:

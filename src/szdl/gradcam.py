@@ -68,8 +68,9 @@ def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
     """Class-activation volume for one scan against one target class.
 
     Runs eval-mode (running BN statistics, no dropout) with gradients
-    recorded; nothing in the model is mutated.  The backward pass computes
-    activation gradients only: every parameter's ``.grad`` is left as found.
+    recorded; nothing in the model is mutated.  The backward pass runs from
+    the target logit down to the source layer's activations and no further,
+    so every parameter's ``.grad`` is left as found.
     """
     if target_class not in (0, 1):
         raise ValueError(f"target_class must be 0 or 1, got {target_class}")
@@ -78,17 +79,8 @@ def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
     tape = Tape()
     result = model.apply(x, mode="eval", tape=tape)
     score = ops.take(result.logits, (0, target_class), tape=tape)
-    params = model.parameters()
-    flags = [p.requires_grad for p in params]
-    for p in params:
-        p.requires_grad = False
-    try:
-        backward(tape, score)
-    finally:
-        for p, flag in zip(params, flags):
-            p.requires_grad = flag
-
     features = result.features
+    backward(tape, score, [features])
     grads = features.grad[0]            # [C, d, d, d]
     weights = grads.mean(axis=(1, 2, 3), dtype=np.float64)
     raw = np.maximum(np.tensordot(weights, features.data[0].astype(np.float64),

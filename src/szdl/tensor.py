@@ -7,11 +7,10 @@ and a closure that maps the output gradient to input gradients.  Calling
 accumulates gradients additively, so a tensor used twice receives the sum
 of both contributions.
 
-Gradients are only materialized where they can matter: parameters, tensors
-explicitly flagged with ``requires_grad``, and intermediate tensors that
-were produced on the tape.  Leaf data tensors (e.g. an input batch) are
-skipped unless flagged, which keeps the first convolution's backward pass
-from computing a throwaway input gradient.
+One rule decides which gradients are computed: ``backward``'s ``inputs``
+(by default every :class:`Parameter` the tape read).  Only tensors on a path
+from an input to the loss get a gradient, so an input batch gets none, and
+each intermediate one is dropped once propagated.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ import numpy as np
 class Tensor:
     """N-dimensional real array plus an optional same-shape gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
+    def __init__(self, data, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -62,7 +60,7 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, name: str, data, dtype=None):
-        super().__init__(data, dtype=dtype, requires_grad=True)
+        super().__init__(data, dtype=dtype)
         self.name = name
         self.grad = np.zeros_like(self.data)
 
@@ -82,42 +80,44 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], BackwardFn]] = []
-        self._output_ids: set[int] = set()
 
     def record(self, output: Tensor, inputs: Sequence[Tensor], backward_fn: BackwardFn) -> None:
         self._nodes.append((output, tuple(inputs), backward_fn))
-        self._output_ids.add(id(output))
-
-    def produced(self, t: Tensor) -> bool:
-        return id(t) in self._output_ids
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _needs_grad(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._output_ids
 
+def backward(tape: Tape, loss: Tensor, inputs: Optional[Sequence[Tensor]] = None) -> None:
+    """Accumulate d(loss)/dt into ``t.grad`` for every ``t`` in ``inputs``.
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate ``.grad`` for every tensor reachable from ``loss`` on the tape.
-
-    The output gradient is seeded with ones, so ``loss`` is normally a
-    scalar (``ops.take`` picks one logit).  Raises ``ValueError`` if ``loss``
-    was not produced under this tape.
+    ``inputs`` defaults to every :class:`Parameter` the tape read.  Only
+    tensors on a path from an input to ``loss`` get a gradient, and all but
+    the inputs' are dropped once propagated.  The seed is ones, so ``loss``
+    is normally a scalar (``ops.take`` picks one logit).  Raises
+    ``ValueError`` if ``loss`` was not produced under this tape.
     """
-    if not tape.produced(loss):
+    if not any(output is loss for output, _, _ in tape._nodes):
         raise ValueError("loss tensor was not produced on this tape")
+    if inputs is None:
+        inputs = [t for _, ts, _ in tape._nodes for t in ts if isinstance(t, Parameter)]
+    keep = {id(t) for t in inputs}
+    on_path = set(keep)
+    for output, ts, _ in tape._nodes:
+        if any(id(t) in on_path for t in ts):
+            on_path.add(id(output))
+
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
-
-    for output, inputs, backward_fn in reversed(tape._nodes):
-        if output.grad is None:
+    for output, ts, backward_fn in reversed(tape._nodes):
+        grad = output.grad
+        if grad is None:
             continue  # this node never contributed to the loss
-        needs = tuple(tape._needs_grad(t) for t in inputs)
+        output.grad = grad.copy() if id(output) in keep else None  # closures may return views
+        needs = tuple(id(t) in on_path for t in ts)
         if not any(needs):
             continue
-        grads = backward_fn(output.grad, needs)
-        for t, g, needed in zip(inputs, grads, needs):
+        for t, g, needed in zip(ts, backward_fn(grad, needs), needs):
             if g is None or not needed:
                 continue
             if t.grad is None:

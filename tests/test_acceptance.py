@@ -177,9 +177,7 @@ class TestCriterion2GradientSuite:
 
     def _per_op_checks(self, rng):
         def leaf(*shape):
-            t = Tensor(rng.standard_normal(shape), dtype=np.float64)
-            t.requires_grad = True
-            return t
+            return Parameter("leaf", rng.standard_normal(shape), dtype=np.float64)
 
         x = leaf(2, 2, 4, 4, 4)
         w = leaf(3, 2, 3, 3, 3)
@@ -236,9 +234,7 @@ class TestCriterion2GradientSuite:
         from szdl.model import se_block
 
         def leaf(*shape):
-            t = Tensor(rng.standard_normal(shape), dtype=np.float64)
-            t.requires_grad = True
-            return t
+            return Parameter("leaf", rng.standard_normal(shape), dtype=np.float64)
 
         x = leaf(2, 4, 3, 3, 3)
         params = [leaf(4, 2), leaf(2), leaf(2, 4), leaf(4)]

@@ -1,5 +1,7 @@
 """Grad-CAM: analytic toy-model check, normalization, averaging, localization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ class TestToyModelChainRule:
         pooled = ops.global_avg_pool(features, tape=tape)
         logits = ops.dense(pooled, head_w, head_b, tape=tape)
         score = ops.take(logits, (0, 1), tape=tape)
-        backward(tape, score)
+        backward(tape, score, [features])
 
         weights = features.grad[0].mean(axis=(1, 2, 3))
         raw = np.maximum(np.tensordot(weights, features.data[0], axes=(0, 0)), 0.0)
@@ -85,13 +87,13 @@ class TestGradCam:
 
         cam = grad_cam(model, volume, target_class=1)
         for p in model.parameters():
-            assert p.requires_grad
             assert np.array_equal(p.grad, before[p.name]), p.name
 
         # the same map as a full backward that also computes parameter gradients
         tape = Tape()
         result = model.apply(Tensor(volume.data[None, None]), mode="eval", tape=tape)
-        backward(tape, ops.take(result.logits, (0, 1), tape=tape))
+        backward(tape, ops.take(result.logits, (0, 1), tape=tape),
+                 [result.features, *model.parameters()])
         weights = result.features.grad[0].mean(axis=(1, 2, 3), dtype=np.float64)
         raw = np.maximum(np.tensordot(weights, result.features.data[0].astype(np.float64),
                                       axes=(0, 0)), 0.0)
@@ -99,6 +101,26 @@ class TestGradCam:
         full = trilinear_resize(raw, cam.extents)
         expected = ((full - full.min()) / (full.max() - full.min())).astype(np.float32)
         assert np.array_equal(cam.values, expected)
+
+    def test_backward_stops_at_source_layer(self, monkeypatch):
+        model = toy_model(input_extent=48)
+        assert model.feature_layer == "block4.relu2"
+        ran = Counter()
+        record = Tape.record
+
+        def counting_record(tape, output, inputs, backward_fn):
+            op = backward_fn.__qualname__.split(".")[0]
+
+            def counted(grad, needs):
+                ran[op] += 1
+                return backward_fn(grad, needs)
+
+            record(tape, output, inputs, counted)
+
+        monkeypatch.setattr(Tape, "record", counting_record)
+        grad_cam(model, random_volume(extent=48), target_class=1)
+        # block 5 (two conv units) lies between block4.relu2 and the logits
+        assert (ran["conv3d"], ran["batchnorm3d"]) == (2, 2)
 
     def test_blocked_gradient_path_degenerates(self):
         model = toy_model()
@@ -177,7 +199,7 @@ class TestResampling:
             tape = Tape()
             result = model.apply(x, mode="eval", tape=tape)
             score = ops.take(result.logits, (0, 1), tape=tape)
-            backward(tape, score)
+            backward(tape, score, [result.features])
             w = result.features.grad[0].mean(axis=(1, 2, 3), dtype=np.float64)
             raw = np.maximum(
                 np.tensordot(w, result.features.data[0].astype(np.float64),

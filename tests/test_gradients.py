@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from szdl import ops
+from szdl.model import ModelConfig, build_model
 from szdl.tensor import Parameter, Tape, Tensor, backward
 
 from oracles import (
@@ -20,9 +21,7 @@ from oracles import (
 
 
 def leaf(rng, shape):
-    t = Tensor(rng.standard_normal(shape), dtype=np.float64)
-    t.requires_grad = True
-    return t
+    return Parameter("leaf", rng.standard_normal(shape), dtype=np.float64)
 
 
 class TestTapeBasics:
@@ -34,14 +33,14 @@ class TestTapeBasics:
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_square_gradient(self):
-        x = Tensor(np.array([3.0]), requires_grad=True)
+        x = Parameter("x", np.array([3.0]))
         tape = Tape()
         loss = sum_all(mul(x, x, tape=tape), tape=tape)
         backward(tape, loss)
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_reuse_accumulates(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
+        x = Parameter("x", np.array([2.0]))
         tape = Tape()
         y = scale(x, 3.0, tape=tape)
         z = scale(x, 5.0, tape=tape)
@@ -54,6 +53,28 @@ class TestTapeBasics:
         tape = Tape()
         with pytest.raises(ValueError, match="loss tensor was not produced on this tape"):
             backward(tape, Tensor(np.float64(1.0)))
+
+    def test_inputs_name_the_gradients_kept(self):
+        x = Tensor(np.array([2.0, -1.0]))
+        w = Parameter("w", np.array([3.0, 4.0]))
+        tape = Tape()
+        y = mul(x, w, tape=tape)
+        loss = sum_all(scale(y, 2.0, tape=tape), tape=tape)
+        backward(tape, loss, [x])
+        np.testing.assert_array_equal(x.grad, [6.0, 8.0])
+        np.testing.assert_array_equal(w.grad, [0.0, 0.0])  # left as found
+        assert y.grad is None and loss.grad is None
+
+    def test_kept_gradient_shares_no_memory_with_an_upstream_input(self):
+        # reshape's backward returns a view of its output gradient; x's second
+        # contribution must not write through it into y.grad
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        tape = Tape()
+        w = ops.reshape(x, (4,), tape=tape)
+        y = ops.reshape(x, (4,), tape=tape)
+        backward(tape, sum_all(mul(y, w, tape=tape), tape=tape), [y, x])
+        np.testing.assert_array_equal(y.grad, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
 
     def test_backward_linearity_powers_of_two(self):
         rng = np.random.default_rng(1)
@@ -147,8 +168,7 @@ class TestKernelGradients:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_batchnorm_input_grad_bit_equals_closed_form(self, mode, dtype):
         rng = np.random.default_rng(17)
-        x = Tensor((rng.standard_normal((2, 3, 4, 5, 6)) * 3 + 1).astype(dtype),
-                   requires_grad=True)
+        x = Parameter("x", (rng.standard_normal((2, 3, 4, 5, 6)) * 3 + 1).astype(dtype))
         gamma = Parameter("gamma", rng.standard_normal(3).astype(dtype))
         beta = Parameter("beta", rng.standard_normal(3).astype(dtype))
         mean = rng.standard_normal(3).astype(dtype)
@@ -236,7 +256,7 @@ class TestKernelGradients:
         rng = np.random.default_rng(19)
         z = rng.standard_normal((4, 2))
         labels = np.array([0, 1, 1, 0])
-        x = Tensor(z.copy(), requires_grad=True)
+        x = Parameter("x", z.copy())
         tape = Tape()
         loss = ops.cross_entropy(x, labels, tape=tape)
         backward(tape, loss)
@@ -295,3 +315,27 @@ class TestTapeMemory:
 
         backward(tape, out)
         assert np.abs(w.grad).sum() > 0  # the weight gradient rebuilds the buffer
+
+    def test_backward_keeps_gradients_only_on_inputs(self):
+        config = ModelConfig(input_extent=48, width_scale=1 / 8, se_ratio=4,
+                             classifier_dims=(128, 16))
+        model = build_model(config, seed=0)
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.random((5, 1, 48, 48, 48), dtype=np.float32))
+        tape = Tape()
+        result = model.apply(x, mode="train", tape=tape, rng=rng)
+        loss = ops.cross_entropy(result.logits, np.array([0, 1, 0, 1, 1]), tape=tape)
+        model.zero_grad()
+        output_bytes = sum(output.data.nbytes for output, _, _ in tape._nodes)
+
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            backward(tape, loss)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(output.grad is None for output, _, _ in tape._nodes)
+        assert x.grad is None
+        assert all(np.abs(p.grad).sum() > 0 for p in model.parameters())
+        assert retained < output_bytes / 10
