@@ -4,7 +4,8 @@ The pipeline mirrors a clinical-MRI augmentation recipe: blur (p=0.1),
 additive Gaussian noise (p=0.6), then exactly one of affine resampling or
 elastic deformation (p=0.2, uniform branch), bias-field distortion
 (p=0.1) and k-space motion artifacts (p=0.05).  Probabilities are
-contractual; magnitude ranges are tool defaults and fully configurable.
+contractual; magnitude ranges are tool defaults, fixed as ``AugmentSpec``
+class constants.
 
 Affine, elastic and motion resample with ``scipy.ndimage`` trilinear
 interpolation.  Samples outside the grid take the volume minimum; a
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy import ndimage
@@ -32,42 +34,31 @@ AugmentPlan = list[tuple[str, dict]]
 
 @dataclass(frozen=True)
 class AugmentSpec(JsonConfig):
-    """Application probabilities and magnitude ranges for every transform."""
+    """Application probabilities of every transform; the magnitude ranges are fixed."""
+
+    blur_sigma_range: ClassVar[tuple[float, float]] = (0.25, 1.5)   # mm
+    noise_std_range: ClassVar[tuple[float, float]] = (0.0, 0.05)    # intensity units
+    rotation_max_deg: ClassVar[float] = 10.0
+    translation_max_mm: ClassVar[float] = 5.0
+    elastic_grid: ClassVar[int] = 7
+    elastic_max_mm: ClassVar[float] = 4.0
+    bias_order: ClassVar[int] = 3
+    bias_coeff_max: ClassVar[float] = 0.3
+    motion_max_transforms: ClassVar[int] = 2
+    motion_max_deg: ClassVar[float] = 5.0
+    motion_max_mm: ClassVar[float] = 4.0
 
     p_blur: float = 0.1
-    blur_sigma_range: tuple[float, float] = (0.25, 1.5)   # mm
     p_noise: float = 0.6
-    noise_std_range: tuple[float, float] = (0.0, 0.05)    # intensity units
     p_spatial: float = 0.2
-    rotation_max_deg: float = 10.0
-    translation_max_mm: float = 5.0
-    elastic_grid: int = 7
-    elastic_max_mm: float = 4.0
     p_bias: float = 0.1
-    bias_order: int = 3
-    bias_coeff_max: float = 0.3
     p_motion: float = 0.05
-    motion_max_transforms: int = 2
-    motion_max_deg: float = 5.0
-    motion_max_mm: float = 4.0
 
     def validate(self) -> None:
         for name in ("p_blur", "p_noise", "p_spatial", "p_bias", "p_motion"):
             p = getattr(self, name)
             if not 0 <= p <= 1:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        for name in ("blur_sigma_range", "noise_std_range"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must be a non-negative ascending range")
-        if min(self.rotation_max_deg, self.translation_max_mm, self.elastic_max_mm,
-               self.bias_coeff_max, self.motion_max_deg, self.motion_max_mm) < 0:
-            raise ValueError("magnitude ranges must be non-negative")
-        bias_exponents(self.bias_order)
-        if self.elastic_grid < 2:
-            raise ValueError("elastic control grid needs at least 2 points per axis")
-        if self.motion_max_transforms < 1:
-            raise ValueError("motion needs at least one transform")
 
 
 # ---------------------------------------------------------------------------

@@ -276,12 +276,10 @@ def cmd_cam(args) -> int:
 
 def cmd_augment_preview(args) -> int:
     volume = load_volume(Path(args.volume))
-    spec = AugmentSpec() if not args.config else \
-        load_run_config(args.config).augment_spec
     save_volume(volume, args.out / "original.nii")
     write_mid_slices(volume.data, args.out, "original")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-    forced = replace(spec, p_blur=1.0, p_noise=1.0, p_spatial=1.0, p_bias=1.0, p_motion=1.0)
+    forced = AugmentSpec(p_blur=1.0, p_noise=1.0, p_spatial=1.0, p_bias=1.0, p_motion=1.0)
     # keep drawing plans until both spatial branches have been previewed
     seen: dict[str, object] = {}
     for _ in range(64):
@@ -418,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume", required=True)
     p.add_argument("--out", required=True, type=_out_dir)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_augment_preview)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the toy model")

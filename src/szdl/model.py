@@ -32,14 +32,17 @@ from .tensor import Parameter, Tape, Tensor
 
 _POOL_STAGES = 4  # blocks 1-4 halve the extent; block 5 does not
 _MIN_CAM_EXTENT = 6  # the final map's extent at the paper's 96^3 input
+_BLOCK_CHANNELS = (64, 128, 256, 256, 512, 512, 512, 512)  # the 8 convolution widths
 
 
 @dataclass(frozen=True)
 class ModelConfig(JsonConfig):
-    """Structural hyperparameters of the classifier (one input channel, two classes)."""
+    """Structural hyperparameters of the classifier (one input channel, two classes).
+
+    The eight convolution widths are the published ones, scaled by ``width_scale``.
+    """
 
     input_extent: int = 96
-    block_channels: tuple[int, ...] = (64, 128, 256, 256, 512, 512, 512, 512)
     se_ratio: int = 16
     classifier_dims: tuple[int, int] = (128, 16)
     dropout_p: float = 0.5
@@ -47,7 +50,7 @@ class ModelConfig(JsonConfig):
 
     def scaled_channels(self) -> tuple[int, ...]:
         scaled = []
-        for c in self.block_channels:
+        for c in _BLOCK_CHANNELS:
             v = c * self.width_scale
             if abs(v - round(v)) > 1e-9 or round(v) < 1:
                 raise ValueError(f"width_scale {self.width_scale} does not scale {c} "
@@ -56,8 +59,6 @@ class ModelConfig(JsonConfig):
         return tuple(scaled)
 
     def validate(self) -> None:
-        if len(self.block_channels) != 8:
-            raise ValueError("block_channels must list all 8 convolution widths")
         if self.input_extent % (2 ** _POOL_STAGES) != 0 or self.input_extent <= 0:
             raise ValueError(
                 f"input_extent {self.input_extent} must be a positive multiple of "

@@ -33,13 +33,19 @@ _STREAM_SHUFFLE = 1
 _STREAM_DROPOUT = 2
 _STREAM_AUGMENT = 3
 
+_EVAL_BATCH_SIZE = 16  # scans per eval-mode forward pass
+
 CHECKPOINT_MAGIC = b"SZDL"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
 class TrainConfig(JsonConfig):
-    """Optimization recipe; defaults follow the published training setup."""
+    """Optimization recipe; defaults follow the published training setup.
+
+    Training runs in float32 and, with ``augment``, draws from the published
+    ``AugmentSpec()``.
+    """
 
     model: ModelConfig = field(default_factory=ModelConfig)
     learning_rate: float = 1e-4
@@ -47,29 +53,20 @@ class TrainConfig(JsonConfig):
     max_epochs: int = 300
     patience: int = 20
     seed: int = 0
-    precision: str = "float32"
     augment: bool = True
-    augment_spec: AugmentSpec = field(default_factory=AugmentSpec)
-    eval_batch_size: int = 16
     workers: int = 1
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1 or self.eval_batch_size < 1:
-            raise ValueError("batch sizes must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError(f"precision must be float32 or float64, got {self.precision}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "float32" else np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +214,9 @@ def _stack_batch(volumes: list[Volume], dtype) -> Tensor:
 
 
 def _augment_one(args):
-    volume, spec, seed_key = args
+    volume, seed_key = args
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    return apply_pipeline(volume, spec, rng)
+    return apply_pipeline(volume, AugmentSpec(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +234,7 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     _require_two_class_split(val, "val")
 
     cache = VolumeCache(Path(data_root))
-    dtype = config.dtype
-    model = build_model(config.model, seed=config.seed, dtype=dtype)
+    model = build_model(config.model, seed=config.seed)
     adam = AdamState.for_params(model.parameters())
     history = TrainHistory()
     tracker = EarlyStopTracker(config.patience)
@@ -250,19 +246,23 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
             shuffle_rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, _STREAM_SHUFFLE, epoch]))
             order = shuffle_rng.permutation(len(train))
+            bounds = list(range(0, len(order), config.batch_size)) + [len(order)]
+            if len(order) % config.batch_size == 1:
+                # a one-scan batch would leave train-mode batchnorm a single element
+                # per channel at small inputs: fold it into the batch before it
+                del bounds[-2]
 
             epoch_loss = 0.0
-            for step, start in enumerate(range(0, len(order), config.batch_size)):
-                idx = order[start:start + config.batch_size]
+            for step, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                idx = order[start:stop]
                 batch_records = [train[i] for i in idx]
                 volumes = [cache.get(r) for r in batch_records]
                 if config.augment:
-                    jobs = [(vol, config.augment_spec,
-                             [config.seed, _STREAM_AUGMENT, epoch, int(i)])
+                    jobs = [(vol, [config.seed, _STREAM_AUGMENT, epoch, int(i)])
                             for vol, i in zip(volumes, idx)]
                     mapper = pool.map if pool is not None else map
                     volumes = list(mapper(_augment_one, jobs))
-                x = _stack_batch(volumes, dtype)
+                x = _stack_batch(volumes, model.dtype)
                 labels = np.array([r.label for r in batch_records])
 
                 tape = Tape()
@@ -279,7 +279,7 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
                 epoch_loss += loss.item() * len(batch_records)
 
             train_loss = epoch_loss / len(train)
-            val_loss, val_scored = _evaluate(model, val, cache, config.eval_batch_size)
+            val_loss, val_scored = _evaluate(model, val, cache)
             val_auc = auc(val_scored)
             history.records.append(EpochRecord(epoch, train_loss, val_loss, val_auc))
 
@@ -302,17 +302,17 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     return model, adam, history
 
 
-def _evaluate(model: Model, records: list[ScanRecord], cache: VolumeCache,
-              batch_size: int) -> tuple[float, ScoredSet]:
+def _evaluate(model: Model, records: list[ScanRecord],
+              cache: VolumeCache) -> tuple[float, ScoredSet]:
     """Eval-mode mean loss and class-1 scores over a record list."""
     labels = np.array([r.label for r in records])
     total = 0.0
     scores = []
-    for start in range(0, len(records), batch_size):
-        chunk = records[start:start + batch_size]
+    for start in range(0, len(records), _EVAL_BATCH_SIZE):
+        chunk = records[start:start + _EVAL_BATCH_SIZE]
         x = _stack_batch([cache.get(r) for r in chunk], model.dtype)
         result = model.apply(x, mode="eval")
-        loss = ops.cross_entropy(result.logits, labels[start:start + batch_size])
+        loss = ops.cross_entropy(result.logits, labels[start:start + _EVAL_BATCH_SIZE])
         if not np.isfinite(loss.data):
             raise NumericalError("non-finite validation loss")
         total += loss.item() * len(chunk)
@@ -321,10 +321,9 @@ def _evaluate(model: Model, records: list[ScanRecord], cache: VolumeCache,
                                            subject_ids=tuple(r.subject_id for r in records))
 
 
-def score_records(model: Model, records: list[ScanRecord], data_root=".",
-                  batch_size: int = 16) -> ScoredSet:
+def score_records(model: Model, records: list[ScanRecord], data_root=".") -> ScoredSet:
     """Eval-mode likelihood scores for a record list (e.g. the test split)."""
-    return _evaluate(model, records, VolumeCache(Path(data_root)), batch_size)[1]
+    return _evaluate(model, records, VolumeCache(Path(data_root)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +435,7 @@ def run_generalization(config: TrainConfig, records: list[ScanRecord], held_site
     assigned = hold_out_site(records, held_site, seed=config.seed)
     model, adam, history = fit(config, assigned, data_root=data_root)
     test = _split_records(assigned, "test")
-    scored = score_records(model, test, data_root=data_root,
-                           batch_size=config.eval_batch_size)
+    scored = score_records(model, test, data_root=data_root)
     report = {
         "held_out_site": held_site,
         "n_test": len(test),

@@ -241,6 +241,4 @@ class TestPipeline:
         with pytest.raises(ValueError):
             AugmentSpec(p_blur=1.5).validate()
         with pytest.raises(ValueError):
-            AugmentSpec(bias_order=5).validate()
-        with pytest.raises(ValueError):
             AugmentSpec.from_dict({"p_blur": 0.1, "wat": 2})

@@ -201,6 +201,19 @@ class TestTrainPipeline:
                    "--out", out2) == 0
         assert (out1 / "history.csv").read_text() == (out2 / "history.csv").read_text()
 
+    def test_trailing_one_scan_batch_trains(self, tmp_path):
+        # 16 train scans at batch 5 leave one over; in a batch of its own, block 5's
+        # 1^3 map would give train-mode batchnorm one element per channel
+        data = tmp_path / "data"
+        run("synth", "--out", data, "--count", 10, "--size", 16)
+        run("split", data / "manifest.json")
+        assert sum(r.split == "train" for r in load_manifest(data / "manifest.json")) == 16
+        cfg = tiny_config(tmp_path / "config.json", batch_size=5)
+        out = tmp_path / "run"
+        assert run("train", "--config", cfg, "--manifest", data / "manifest.json",
+                   "--out", out) == 0
+        assert (out / "model.ckpt").exists()
+
     def test_eval_from_checkpoint(self, trained):
         code, root, data, cfg, out = trained
         report_dir = root / "eval"
@@ -294,10 +307,23 @@ class TestTrainPipeline:
         assert err.startswith("configuration error: --threshold must be in [0, 1]")
         assert "Traceback" not in err
 
-    def test_bad_config_key_exit_1(self, trained, tmp_path):
+    # a misspelt key, then keys that name the fields of older configs
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rt", 1e-3),
+        ("precision", "float32"),
+        ("augment_spec", {}),
+        ("eval_batch_size", 16),
+        ("model.block_channels", [64, 128, 256, 256, 512, 512, 512, 512]),
+    ], ids=["learning_rt", "precision", "augment_spec", "eval_batch_size",
+            "model.block_channels"])
+    def test_bad_config_key_exit_1(self, trained, tmp_path, key, value):
         code, root, data, cfg, out = trained
         raw = json.loads(Path(cfg).read_text())
-        raw["train"]["learning_rt"] = 1e-3
+        *parents, name = key.split(".")
+        section = raw["train"]
+        for parent in parents:
+            section = section[parent]
+        section[name] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert run("train", "--config", bad, "--manifest", data / "manifest.json",

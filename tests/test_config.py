@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from szdl.augment import AugmentSpec
 from szdl.cli import load_run_config
 from szdl.model import ModelConfig
 from szdl.train import CHECKPOINT_VERSION, TrainConfig
@@ -19,7 +18,6 @@ def nested_config():
     return TrainConfig(
         model=ModelConfig(input_extent=32, width_scale=1 / 8, se_ratio=4,
                           classifier_dims=(16, 8)),
-        augment_spec=AugmentSpec(p_blur=0.5, blur_sigma_range=(0.5, 1.0), elastic_grid=5),
         learning_rate=3e-4, seed=11, augment=False)
 
 
@@ -43,7 +41,7 @@ class TestCodec:
 
     @pytest.mark.parametrize("data", [{"batch_size": 2.5}, {"augment": 1}, {"seed": True},
                                       {"model": {"se_ratio": "4"}},
-                                      {"model": {"block_channels": 64}}])
+                                      {"model": {"classifier_dims": 64}}])
     def test_wrong_value_type_rejected(self, data):
         with pytest.raises(TypeError):
             TrainConfig.from_dict(data)
@@ -57,7 +55,7 @@ class TestCodec:
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
-            TrainConfig.from_dict({"augment_spec": {"bogus": 1}})
+            TrainConfig.from_dict({"model": {"bogus": 1}})
 
 
 class TestValidOnConstruction:
@@ -70,10 +68,6 @@ class TestValidOnConstruction:
         with pytest.raises(ValueError):
             ModelConfig(**field)
 
-    def test_invalid_augment_spec_rejected_with_augment_off(self):
-        with pytest.raises(ValueError):
-            TrainConfig.from_dict({"augment": False, "augment_spec": {"p_blur": 1.5}})
-
 
 class TestReadme:
     def test_run_config_example_loads(self, tmp_path):
@@ -82,8 +76,7 @@ class TestReadme:
         path = tmp_path / "config.json"
         path.write_text(block)
         cfg = load_run_config(path)
-        assert cfg.model == ModelConfig()
-        assert cfg.augment_spec == AugmentSpec()
+        assert cfg == TrainConfig()
 
     def test_checkpoint_paragraph_states_version(self):
         paragraph = re.search(r"- \*\*Checkpoint\*\*.*?(?=\n- \*\*)", README.read_text(),

@@ -1,6 +1,6 @@
 """The public surface of src/szdl: every public name is used by src/ or bench/, not only
-by tests, every defaulted parameter is passed by some call there, and every exception
-raised is the type of one CLI exit code."""
+by tests, every defaulted parameter and every config field is passed by some call there,
+and every exception raised is the type of one CLI exit code."""
 
 import ast
 from pathlib import Path
@@ -68,6 +68,30 @@ def test_every_defaulted_parameter_is_passed():
                          if not any(_passes(c, index, name) for c in calls.get(fn.name, []))]
     # bench runs the CLI through Run.call(name, cli.main, argv), not a call expression
     assert unpassed == ["cli.main(argv=)"]
+
+
+def test_every_config_field_is_passed():
+    """A config field that no call in src/ or bench/ sets, by keyword to its class or to
+    ``replace(...)``, is a constant, not a field."""
+    passed = {}  # called name -> keyword names
+    for _, tree in _trees("src/szdl") + _trees("bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    unpassed = []
+    for path, tree in _trees("src/szdl"):
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(ast.unparse(base) == "JsonConfig" for base in cls.bases)):
+                continue
+            fields = [item.target.id for item in cls.body if isinstance(item, ast.AnnAssign)
+                      and not ast.unparse(item.annotation).startswith("ClassVar")]
+            unpassed += [f"{cls.name}.{name}" for name in fields
+                         if not {name, None} & (passed.get(cls.name, set())
+                                                | passed.get("replace", set()))]
+    assert not unpassed, f"config fields that only take their default: {unpassed}"
 
 
 def _raised_name(node):
