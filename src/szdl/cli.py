@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import sys
 from dataclasses import asdict, replace
@@ -426,8 +427,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h) and the values main sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2 ** 20   # glibc's ceiling for its own adaptive threshold
+_TRIM_THRESHOLD = 256 * 2 ** 20  # more than a desk-config training step frees at once
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process instead of handing it back to the kernel.
+
+    ``backward`` frees each activation once replayed, and ``Model.apply``
+    hands dead ones on as output buffers.  Under glibc's adaptive
+    thresholds most training steps then trim the heap top, and the next
+    forward pass faults the same pages in again, at a cost that depends on
+    the host's free memory.  Fixed thresholds stop that: arrays under 32 MiB
+    reuse the heap, larger ones are still mapped and unmapped one by one.
+    A no-op where the C library has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_heap()
     try:
         return args.func(args)
     except (OSError, UnicodeDecodeError, DataError) as exc:

@@ -143,16 +143,21 @@ class Model:
                 cur = ops.conv3d(cur, self.params[layer.name + ".weight"],
                                  self.params[layer.name + ".bias"], tape=tape)
             elif kind == "bn":
+                conv_out = cur
                 cur = ops.batchnorm3d(cur, self.params[layer.name + ".gamma"],
                                       self.params[layer.name + ".beta"], mode,
-                                      self.bn_states[layer.name], tape=tape)
+                                      self.bn_states[layer.name], tape=tape,
+                                      out=conv_out.data)
+                _empty(conv_out)
             elif kind == "se":
                 se = layer.name
                 cur = se_block(cur, self.params[se + ".fc1.weight"], self.params[se + ".fc1.bias"],
                                self.params[se + ".fc2.weight"], self.params[se + ".fc2.bias"],
                                tape=tape)
             elif kind == "relu":
-                cur = ops.relu(cur, tape=tape)
+                relu_in = cur
+                cur = ops.relu(cur, tape=tape, out=relu_in.data)
+                _empty(relu_in)
                 if layer.name == self.feature_layer:
                     features = cur
             elif kind == "pool":
@@ -172,6 +177,13 @@ class Model:
             else:  # pragma: no cover
                 raise AssertionError(f"unhandled layer kind {kind}")
         return ForwardResult(probs=probs, logits=logits, features=features)
+
+
+def _empty(t: Tensor) -> None:
+    """Detach an input of batch norm or ReLU whose buffer the op's output took over
+    (no backward closure reads it); the dtype is kept."""
+    t.data = np.empty(0, t.dtype)
+
 
 def se_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
              tape: Optional[Tape] = None) -> Tensor:

@@ -2,13 +2,20 @@
 
 All kernels take and return :class:`~szdl.tensor.Tensor` and optionally
 record themselves on a :class:`~szdl.tensor.Tape`.  Convolution is
-computed per sample as one GEMM over an im2col buffer.  The buffer is
-dropped after the forward GEMM, not cached on the tape: the backward pass
-rebuilds it only when the weight gradient is needed, and reconstructs the
-input gradient with 27 shifted slice-adds instead of a second
-materialization.  Trading that recomputation for memory (Chen et al. 2016,
-"Training Deep Nets with Sublinear Memory Cost") keeps the tape from
-holding a 27x copy of every convolution input.
+computed per sample as GEMMs over im2col buffers built in bounded pieces
+(``_CHUNK_BYTES``): the forward pass splits the output depth into slabs,
+so each GEMM keeps the full reduction length, and the backward pass splits
+the input channels, so each input-gradient element still sums its 27
+shifted slice-adds in the same order.  No buffer is cached on the tape: the
+backward pass rebuilds im2col only when the weight gradient is needed.
+Trading that recomputation for memory (Chen et al. 2016, "Training Deep
+Nets with Sublinear Memory Cost") keeps the tape from holding a 27x copy of
+every convolution input.  For the same reason each closure captures only
+what it reads: ReLU takes its mask from its own output (``out > 0`` exactly
+where ``x > 0``) and batch norm reads its normalized ``xhat``, so neither
+reads its input.  ``Model.apply`` therefore passes that input's own array
+as ``out``: the output takes over the buffer, and no dead activation is
+freed while a new one of the same size is allocated.
 
 Statistical reductions (means, variances, sums feeding scalars) run in
 64-bit accumulators regardless of the engine dtype; BLAS contractions
@@ -34,10 +41,18 @@ def _reduce(a: np.ndarray, axis, dtype) -> np.ndarray:
 # convolution
 
 
-def _im2col(sample: np.ndarray) -> np.ndarray:
-    """[C,D,H,W] -> contiguous [C*27, D*H*W] column matrix of zero-padded 3^3 windows."""
-    c = sample.shape[0]
-    xp = np.pad(sample, ((0, 0), (1, 1), (1, 1), (1, 1)))
+_CHUNK_BYTES = 64 * 2 ** 20  # per im2col or colgrad piece (never less than one slice or channel)
+
+
+def _pieces(total: int, unit_bytes: int) -> list[slice]:
+    """Split ``range(total)`` into runs of at most ``_CHUNK_BYTES`` (at least one unit each)."""
+    step = max(1, _CHUNK_BYTES // unit_bytes)
+    return [slice(start, min(start + step, total)) for start in range(0, total, step)]
+
+
+def _im2col(xp: np.ndarray) -> np.ndarray:
+    """Zero-padded [C,D+2,H+2,W+2] -> contiguous [C*27, D*H*W] column matrix of 3^3 windows."""
+    c = xp.shape[0]
     win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3, 3), axis=(1, 2, 3))
     # [C, D, H, W, 3, 3, 3] -> [C, 3, 3, 3, D, H, W]
     win = win.transpose(0, 4, 5, 6, 1, 2, 3)
@@ -45,13 +60,23 @@ def _im2col(sample: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(win).reshape(c * 27, spatial)
 
 
+def _pad(sample: np.ndarray) -> np.ndarray:
+    """Zero-pad the three spatial axes of a [C,D,H,W] sample by one voxel."""
+    return np.pad(sample, ((0, 0), (1, 1), (1, 1), (1, 1)))
+
+
 def conv3d(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """3D cross-correlation with a 3x3x3 kernel, zero padding 1, stride 1.
 
     ``x`` is [N, Cin, D, H, W], ``w`` is [Cout, Cin, 3, 3, 3], ``b`` is
-    [Cout]; spatial extents are preserved.  Each sample's im2col buffer
-    lives only for its forward GEMM; backward rebuilds it for the weight
-    gradient, so the tape keeps no copy.
+    [Cout]; spatial extents are preserved.  im2col is built in pieces of at
+    most ``_CHUNK_BYTES`` (or one depth slice / one input channel, if that
+    is larger): depth slabs in the forward pass, input-channel chunks for
+    the weight and input gradients.  Each piece lives only for its GEMM, so
+    the tape keeps no copy.  In float32 a split layer equals one whole GEMM
+    bit for bit at every paper-scale layer shape; in float64 OpenBLAS's
+    dgemm rounds a partial column tile differently, so a split ``dw`` can
+    differ from the whole in the last bit.
     """
     if x.data.ndim != 5 or w.data.ndim != 5:
         raise DataError(f"conv3d expects 5-d input/kernel, got {x.shape}/{w.shape}")
@@ -64,11 +89,14 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if b.shape != (cout,):
         raise DataError(f"bias shape {b.shape} != ({cout},)")
 
+    itemsize = x.dtype.itemsize
     w_mat = w.data.reshape(cout, cin * 27)
     out = np.empty((n, cout, d, h, wd), dtype=x.dtype)
     for i in range(n):
-        np.add((w_mat @ _im2col(x.data[i])).reshape(cout, d, h, wd),
-               b.data[:, None, None, None], out=out[i])
+        xp = _pad(x.data[i])
+        for s in _pieces(d, cin * 27 * h * wd * itemsize):
+            np.add((w_mat @ _im2col(xp[:, s.start:s.stop + 2])).reshape(cout, -1, h, wd),
+                   b.data[:, None, None, None], out=out[i, :, s])
 
     result = Tensor(out)
     if tape is not None:
@@ -79,15 +107,18 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
             dw_mat = dw.reshape(cout, cin * 27) if need_w else None
             for i in range(n):
                 g = grad[i].reshape(cout, d * h * wd)
-                if need_w:
-                    dw_mat += g @ _im2col(x.data[i]).T
-                if need_x:
-                    colgrad = (w_mat.T @ g).reshape(cin, 3, 3, 3, d, h, wd)
-                    for a in range(3):
-                        for bb in range(3):
-                            for c in range(3):
-                                dx[i, :, a:a + d, bb:bb + h, c:c + wd] += colgrad[:, a, bb, c]
-                    del colgrad  # free before the next sample's buffers
+                xp = _pad(x.data[i]) if need_w else None
+                for s in _pieces(cin, 27 * d * h * wd * itemsize):
+                    k = slice(27 * s.start, 27 * s.stop)
+                    if need_w:
+                        dw_mat[:, k] += g @ _im2col(xp[s]).T
+                    if need_x:
+                        colgrad = (w_mat[:, k].T @ g).reshape(-1, 3, 3, 3, d, h, wd)
+                        for a in range(3):
+                            for bb in range(3):
+                                for c in range(3):
+                                    dx[i, s, a:a + d, bb:bb + h, c:c + wd] += colgrad[:, a, bb, c]
+                        del colgrad  # free before the next chunk's buffers
             if need_x:
                 dx = np.ascontiguousarray(dx[:, :, 1:1 + d, 1:1 + h, 1:1 + wd])
             db = _reduce(grad, (0, 2, 3, 4), x.dtype) if need_b else None
@@ -114,16 +145,16 @@ def _require_even(extents: tuple[int, int, int]) -> None:
 def maxpool3d(x: Tensor, tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
     """Disjoint 2x2x2 max pooling; returns the pooled tensor and the argmax.
 
-    The argmax stores each block's winning local index (ties resolved to
-    the lowest linear index), and the backward pass routes the gradient
-    only there.
+    The argmax stores each block's winning local index 0-7 as ``uint8``
+    (ties resolved to the lowest linear index), and the backward pass
+    routes the gradient only there.
     """
     n, c, d, h, w = x.shape
     _require_even((d, h, w))
     d2, h2, w2 = d // 2, h // 2, w // 2
     blocks = x.data.reshape(n, c, d2, 2, h2, 2, w2, 2).transpose(_POOL_FWD_PERM)
     blocks = np.ascontiguousarray(blocks).reshape(n, c, d2, h2, w2, 8)
-    arg = blocks.argmax(axis=-1)
+    arg = blocks.argmax(axis=-1).astype(np.uint8)
     out = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
 
     result = Tensor(out)
@@ -196,12 +227,14 @@ class BNState:
 
 
 def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNState,
-                tape: Tape | None = None) -> Tensor:
+                tape: Tape | None = None, out: np.ndarray | None = None) -> Tensor:
     """Per-channel normalization over (N, D, H, W) with learned scale/shift.
 
     Train mode normalizes with the mini-batch mean and biased variance and
     updates ``state`` by exponential moving average; eval mode normalizes
     with the stored running statistics.  Reductions use 64-bit accumulators.
+    The result is written to ``out`` if given (``x.data`` itself may be
+    passed: it is read in full before ``out`` is written).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -226,23 +259,25 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNStat
     istd5 = istd[None, :, None, None, None]
     xhat *= istd5
 
-    out = gamma.data[None, :, None, None, None] * xhat
+    out = np.multiply(gamma.data[None, :, None, None, None], xhat, out=out)
     out += beta.data[None, :, None, None, None]
     result = Tensor(out)
 
     if tape is not None:
+        dtype = x.dtype  # the closure never reads x, whose buffer may now hold out
+
         def bwd(grad, needs):
             need_x, need_gamma, need_beta = needs
-            dgamma = _reduce(grad * xhat, (0, 2, 3, 4), x.dtype) if need_gamma else None
-            dbeta = _reduce(grad, (0, 2, 3, 4), x.dtype) if need_beta else None
+            dgamma = _reduce(grad * xhat, (0, 2, 3, 4), dtype) if need_gamma else None
+            dbeta = _reduce(grad, (0, 2, 3, 4), dtype) if need_beta else None
             dx = None
             if need_x:
                 # istd * (dxhat - m1 - xhat * m2) in train mode, dxhat * istd in
                 # eval mode, each step in place on dx (starting as dxhat)
                 dx = grad * gamma.data[None, :, None, None, None]
                 if mode == "train":
-                    m1 = dx.mean(axis=(0, 2, 3, 4), dtype=np.float64).astype(x.dtype)
-                    m2 = (dx * xhat).mean(axis=(0, 2, 3, 4), dtype=np.float64).astype(x.dtype)
+                    m1 = dx.mean(axis=(0, 2, 3, 4), dtype=np.float64).astype(dtype)
+                    m2 = (dx * xhat).mean(axis=(0, 2, 3, 4), dtype=np.float64).astype(dtype)
                     dx -= m1[None, :, None, None, None]
                     dx -= xhat * m2[None, :, None, None, None]
                 dx *= istd5
@@ -279,12 +314,14 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return result
 
 
-def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = np.maximum(x.data, 0)
+def relu(x: Tensor, tape: Tape | None = None, out: np.ndarray | None = None) -> Tensor:
+    """max(x, 0), written to ``out`` if given (``x.data`` itself may be passed);
+    the backward mask is read from the output, never from ``x``."""
+    out = np.maximum(x.data, 0, out=out)
     result = Tensor(out)
     if tape is not None:
         def bwd(grad, needs):
-            return (grad * (x.data > 0),)
+            return (grad * (out > 0),)
 
         tape.record(result, (x,), bwd)
     return result

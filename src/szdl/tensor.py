@@ -7,6 +7,16 @@ and a closure that maps the output gradient to input gradients.  Calling
 accumulates gradients additively, so a tensor used twice receives the sum
 of both contributions.
 
+A tape is spent by one replay: ``backward`` pops each node as it runs it,
+so every closure and the arrays it saved are freed once used, and a second
+``backward`` on the same tape raises ``ValueError``.  Closures save only
+what they read, and ``Model.apply`` hands the activations that no closure
+reads to the next op as its output buffer, then empties the tensor: each
+convolution output becomes its batch norm's output, and each ReLU input (in
+a convolution unit, the squeeze-and-excitation output) becomes the ReLU's
+output.  It never empties a tensor its caller sees (the input, features,
+logits or probabilities).
+
 One rule decides which gradients are computed: ``backward``'s ``inputs``
 (by default every :class:`Parameter` the tape read).  Only tensors on a path
 from an input to the loss get a gradient, so an input batch gets none, and
@@ -76,10 +86,11 @@ BackwardFn = Callable[[np.ndarray, Sequence[bool]], Sequence[Optional[np.ndarray
 
 
 class Tape:
-    """Ordered record of executed operations for reverse-mode replay."""
+    """Ordered record of executed operations, consumed by one reverse-mode replay."""
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], BackwardFn]] = []
+        self._spent = False
 
     def record(self, output: Tensor, inputs: Sequence[Tensor], backward_fn: BackwardFn) -> None:
         self._nodes.append((output, tuple(inputs), backward_fn))
@@ -94,9 +105,13 @@ def backward(tape: Tape, loss: Tensor, inputs: Optional[Sequence[Tensor]] = None
     ``inputs`` defaults to every :class:`Parameter` the tape read.  Only
     tensors on a path from an input to ``loss`` get a gradient, and all but
     the inputs' are dropped once propagated.  The seed is ones, so ``loss``
-    is normally a scalar (``ops.take`` picks one logit).  Raises
-    ``ValueError`` if ``loss`` was not produced under this tape.
+    is normally a scalar (``ops.take`` picks one logit).  The replay
+    consumes ``tape``: each node is popped, and its closure freed, once
+    run, so the tape is empty afterwards.  Raises ``ValueError`` if the
+    tape is spent or ``loss`` was not produced under it.
     """
+    if tape._spent:
+        raise ValueError("this tape is spent: backward already replayed it; record a new one")
     if not any(output is loss for output, _, _ in tape._nodes):
         raise ValueError("loss tensor was not produced on this tape")
     if inputs is None:
@@ -109,7 +124,10 @@ def backward(tape: Tape, loss: Tensor, inputs: Optional[Sequence[Tensor]] = None
 
     seed = np.ones_like(loss.data)
     loss.grad = seed if loss.grad is None else loss.grad + seed
-    for output, ts, backward_fn in reversed(tape._nodes):
+    tape._spent = True
+    nodes = tape._nodes
+    while nodes:
+        output, ts, backward_fn = nodes.pop()
         grad = output.grad
         if grad is None:
             continue  # this node never contributed to the loss

@@ -24,6 +24,35 @@ def leaf(rng, shape):
     return Parameter("leaf", rng.standard_normal(shape), dtype=np.float64)
 
 
+def bytes_held(tape: Tape) -> int:
+    """Distinct buffers a tape keeps alive: node outputs, inputs and closure captures.
+
+    Each base buffer counts once; parameters are left out, since the model
+    holds them with or without a tape.
+    """
+    bases = {}
+
+    def add(obj):
+        if isinstance(obj, Parameter):
+            return
+        if isinstance(obj, Tensor):
+            obj = obj.data
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                add(item)
+
+    for output, inputs, fn in tape._nodes:
+        add(output)
+        add(inputs)
+        for cell in fn.__closure__ or ():
+            add(cell.cell_contents)
+    return sum(bases.values())
+
+
 class TestTapeBasics:
     def test_sum_gradient_is_ones(self):
         x = leaf(np.random.default_rng(0), (3, 4))
@@ -293,6 +322,51 @@ class TestKernelGradients:
         fd_check(f, [(x.data, x.grad), (gate.data, gate.grad)], rng)
 
 
+class TestConvChunks:
+    def test_pieces_bit_equal_one_chunk(self, monkeypatch):
+        # float32, the model's dtype.  Every piece's GEMM is kept above 10^6
+        # multiply-adds (3.5 x 10^6 at the least), as every piece of a layer
+        # that the 64 MiB budget splits is: below that, OpenBLAS's AVX-512
+        # small-matrix kernels round a split GEMM differently from the whole.
+        dtype = np.float32
+        n, cin, cout, (d, h, w) = 2, 10, 64, (8, 16, 16)
+        itemsize = np.dtype(dtype).itemsize
+        rng = np.random.default_rng(30)
+        x = Parameter("x", rng.standard_normal((n, cin, d, h, w)).astype(dtype))
+        wt = Parameter("w", rng.standard_normal((cout, cin, 3, 3, 3)).astype(dtype))
+        b = Parameter("b", rng.standard_normal(cout).astype(dtype))
+        direction = rng.standard_normal((n, cout, d, h, w))
+        built = []
+        im2col = ops._im2col
+
+        def recording_im2col(xp):
+            cols = im2col(xp)
+            built.append(cols.shape)
+            return cols
+
+        monkeypatch.setattr(ops, "_im2col", recording_im2col)
+
+        def run(chunk_bytes):
+            monkeypatch.setattr(ops, "_CHUNK_BYTES", chunk_bytes)
+            for p in (x, wt, b):
+                p.zero_grad()
+            built.clear()
+            tape = Tape()
+            out = ops.conv3d(x, wt, b, tape=tape)
+            backward_along(tape, out, direction)
+            return [out.data, wt.grad.copy(), b.grad.copy(), x.grad.copy()], list(built)
+
+        whole, whole_built = run(2 ** 40)
+        # 3 depth slices or 3 input channels per piece: 3 + 3 + 2 and 3 + 3 + 3 + 1
+        pieces, pieces_built = run(3 * cin * 27 * h * w * itemsize)
+        assert whole_built == [(cin * 27, d * h * w)] * (2 * n)
+        slabs = [(cin * 27, k * h * w) for k in (3, 3, 2)]
+        chunks = [(k * 27, d * h * w) for k in (3, 3, 3, 1)]
+        assert pieces_built == slabs * n + chunks * n
+        for got, want in zip(pieces, whole):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestTapeMemory:
     def test_conv3d_tape_holds_no_im2col(self):
         # the column matrix of one sample, [Cin*27, D*H*W] in float32: ~12 MB
@@ -326,7 +400,9 @@ class TestTapeMemory:
         result = model.apply(x, mode="train", tape=tape, rng=rng)
         loss = ops.cross_entropy(result.logits, np.array([0, 1, 0, 1, 1]), tape=tape)
         model.zero_grad()
-        output_bytes = sum(output.data.nbytes for output, _, _ in tape._nodes)
+        # taken before backward, which empties the tape
+        outputs = [output for output, _, _ in tape._nodes]
+        output_bytes = sum(output.data.nbytes for output in outputs)
 
         tracemalloc.start()
         try:
@@ -335,7 +411,54 @@ class TestTapeMemory:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert all(output.grad is None for output, _, _ in tape._nodes)
+        assert all(output.grad is None for output in outputs)
         assert x.grad is None
         assert all(np.abs(p.grad).sum() > 0 for p in model.parameters())
         assert retained < output_bytes / 10
+
+    def test_tape_holds_under_four_relu_outputs_and_is_spent_by_backward(self):
+        config = ModelConfig(input_extent=48, width_scale=1 / 8, se_ratio=4)
+        model = build_model(config, seed=0)
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.random((5, 1, 48, 48, 48), dtype=np.float32))
+        tape = Tape()
+        result = model.apply(x, mode="train", tape=tape, rng=rng)
+        relu_bytes = sum(output.data.nbytes for output, _, fn in tape._nodes
+                         if fn.__qualname__.startswith("relu.") and output.data.ndim == 5)
+        # conv input, BN's xhat, BN's output and the ReLU output per conv
+        # unit; BN's output and the ReLU output reuse the buffers of the
+        # conv output and the SE-gated map
+        assert bytes_held(tape) < 4 * relu_bytes
+
+        loss = ops.cross_entropy(result.logits, np.array([0, 1, 0, 1, 1]), tape=tape)
+        backward(tape, loss)
+        assert len(tape) == 0
+        with pytest.raises(ValueError, match="spent"):
+            backward(tape, loss)
+
+    @pytest.mark.parametrize("op", ["relu", "batchnorm3d"])
+    def test_output_into_input_buffer_changes_no_value_or_gradient(self, op):
+        """``out=x.data``, as ``Model.apply`` passes it, reuses the buffer bit for bit."""
+        rng = np.random.default_rng(23)
+        data = rng.standard_normal((2, 3, 4, 4, 4)).astype(np.float32)
+        gamma_data, beta_data = rng.standard_normal((2, 3)).astype(np.float32)
+        direction = rng.standard_normal(data.shape).astype(np.float32)
+
+        def run(into_input):
+            x = Parameter("x", data.copy())
+            gamma, beta = Parameter("gamma", gamma_data), Parameter("beta", beta_data)
+            buffer = x.data
+            tape = Tape()
+            out = buffer if into_input else None
+            if op == "relu":
+                y = ops.relu(x, tape=tape, out=out)
+            else:
+                y = ops.batchnorm3d(x, gamma, beta, "train",
+                                    ops.BNState(np.zeros(3), np.ones(3)), tape=tape, out=out)
+            assert (y.data is buffer) == into_input
+            values = y.data.copy()
+            backward_along(tape, y, direction)
+            return values, x.grad, gamma.grad, beta.grad
+
+        for fresh, reused in zip(run(False), run(True)):
+            np.testing.assert_array_equal(reused, fresh)
