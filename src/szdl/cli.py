@@ -30,9 +30,9 @@ from .phantom import PhantomSpec, synthesize_dataset
 from .tensor import Tape, Tensor, backward
 from .train import (
     TrainConfig,
-    VolumeCache,
     fit,
     load_checkpoint,
+    load_scan,
     run_generalization,
     save_checkpoint,
     score_records,
@@ -80,8 +80,7 @@ def write_scores_csv(scored: ScoredSet, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject_id", "score", "label"])
-        ids = scored.subject_ids or [f"case{i:05d}" for i in range(len(scored.labels))]
-        for sid, score, label in zip(ids, scored.scores, scored.labels):
+        for sid, score, label in zip(scored.subject_ids, scored.scores, scored.labels):
             writer.writerow([sid, repr(float(score)), int(label)])
 
 
@@ -209,6 +208,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.scores:
         scored = read_scores_csv(args.scores)
+        _id_order(scored, "first")
     elif args.checkpoint and args.manifest:
         model, _, _ = load_checkpoint(Path(args.checkpoint))
         records = [r for r in load_manifest(args.manifest) if r.split == args.split]
@@ -253,8 +253,8 @@ def cmd_cam(args) -> int:
                    if r.split == args.split and r.label == args.target_class]
         if not records:
             raise DataError(f"no class-{args.target_class} records in split {args.split!r}")
-        cache = VolumeCache(_data_root(args))
-        volumes = [cache.get(r) for r in records]
+        root = _data_root(args)
+        volumes = (load_scan(r, root) for r in records)  # one scan in memory at a time
 
     cams = [grad_cam(model, vol, args.target_class) for vol in volumes]
     averaged = average_cam(cams)

@@ -6,13 +6,16 @@ input, so there the source is block 5, the last convolution block; on
 smaller inputs a deeper but coarser map would have almost every cell
 touching the convolutions' zero padding, and a shallower block is used.
 
-The target class's pre-softmax logit is backpropagated to the source
-layer's activations; each channel is weighted by the spatial mean of its
-gradient, the weighted sum passes through ReLU so only positively
-contributing voxels survive, and the coarse map is trilinearly upsampled
-to the input grid and min-max normalized to [0, 1].  An all-zero raw map
-skips the upsampling; any constant map becomes an all-zero CAM with a
-degenerate flag instead of dividing by zero.
+Grad-CAM needs only the gradient of the score at the source, so the
+layers up to the source run without a tape, and only the layers above it
+are recorded, with the source activations as the tape's leaf.  The target
+class's pre-softmax logit is backpropagated to those activations; each
+channel is weighted by the spatial mean of its gradient, the weighted sum
+passes through ReLU so only positively contributing voxels survive, and
+the coarse map is trilinearly upsampled to the input grid and min-max
+normalized to [0, 1].  An all-zero raw map skips the upsampling; any
+constant map becomes an all-zero CAM with a degenerate flag instead of
+dividing by zero.
 """
 
 from __future__ import annotations
@@ -67,19 +70,20 @@ def _normalized(values: np.ndarray, source_layer: str, target_class: int,
 def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
     """Class-activation volume for one scan against one target class.
 
-    Runs eval-mode (running BN statistics, no dropout) with gradients
-    recorded; nothing in the model is mutated.  The backward pass runs from
-    the target logit down to the source layer's activations and no further,
-    so every parameter's ``.grad`` is left as found.
+    Runs eval-mode (running BN statistics, no dropout); nothing in the
+    model is mutated.  Only the layers from ``model.feature_layer`` to the
+    logits are taped, and the backward pass stops at the source
+    activations, so every parameter's ``.grad`` is left as found.
     """
     if target_class not in (0, 1):
         raise ValueError(f"target_class must be 0 or 1, got {target_class}")
 
     x = Tensor(volume.data[None, None].astype(model.dtype))
+    source = [layer.name for layer in model.layers].index(model.feature_layer) + 1
+    features = model.run(x, "eval", 0, source)
     tape = Tape()
-    result = model.apply(x, mode="eval", tape=tape)
-    score = ops.take(result.logits, (0, target_class), tape=tape)
-    features = result.features
+    logits = model.run(features, "eval", source, -1, tape=tape)
+    score = ops.take(logits, (0, target_class), tape=tape)
     backward(tape, score, [features])
     grads = features.grad[0]            # [C, d, d, d]
     weights = grads.mean(axis=(1, 2, 3), dtype=np.float64)

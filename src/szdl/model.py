@@ -12,8 +12,11 @@ classifier is dropout -> dense -> ReLU -> dropout -> dense -> sigmoid ->
 dense -> softmax over the flattened feature maps.
 
 The layer stack is built once as a list of :class:`LayerInfo` descriptors
-and the forward pass interprets that list, so structural assertions and
-execution can never drift apart.
+and the forward pass interprets ranges of that list (:meth:`Model.run`), so
+structural assertions and execution can never drift apart: ``apply`` runs
+the whole stack, Grad-CAM tapes only the layers above its source.  Only the
+downsample layer reads the raw input, and it checks the input's shape.  A
+range that starts at a BN or ReLU layer takes over its input's buffer.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ class LayerInfo:
 class ForwardResult:
     probs: Tensor
     logits: Tensor
-    features: Tensor  # activations of Model.feature_layer, the Grad-CAM source
 
 
 class Model:
@@ -95,7 +97,6 @@ class Model:
         self.params: dict[str, Parameter] = {}
         self.bn_states: dict[str, BNState] = {}
         self.layers: list[LayerInfo] = []
-        self.block_extents: list[int] = []
         self.feature_layer: str = ""
 
     def parameters(self) -> list[Parameter]:
@@ -117,28 +118,31 @@ class Model:
 
     def apply(self, x: Tensor, mode: str = "eval", tape: Optional[Tape] = None,
               rng: Optional[np.random.Generator] = None) -> ForwardResult:
-        """Run the full stack; returns probabilities, logits and feature maps."""
+        """Run the full stack; returns probabilities and the logits they come from."""
+        logits = self.run(x, mode, 0, -1, tape, rng)
+        probs = self.run(logits, mode, -1, len(self.layers), tape, rng)
+        return ForwardResult(probs=probs, logits=logits)
+
+    def run(self, x: Tensor, mode: str, start: int, stop: int, tape: Optional[Tape] = None,
+            rng: Optional[np.random.Generator] = None) -> Tensor:
+        """Interpret ``self.layers[start:stop]`` on ``x``, recording only its ops on
+        ``tape``; returns the last layer's output.  A range that starts at a BN
+        or ReLU layer writes into ``x``'s buffer and empties ``x``."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
-        extent = self.config.input_extent
-        if x.data.ndim != 5 or x.shape[1] != 1:
-            raise DataError(f"expected [N, 1, D, H, W] input, got {x.shape}")
-        spatial = x.shape[2:]
-        if spatial == (2 * extent,) * 3:
-            needs_downsample = True
-        elif spatial == (extent,) * 3:
-            needs_downsample = False
-        else:
-            raise DataError(f"input extent {spatial} matches neither {extent} "
-                            f"nor {2 * extent}")
-
         cur = x
-        features = logits = probs = None
-        for layer in self.layers:
+        for layer in self.layers[start:stop]:
             kind = layer.kind
             if kind == "downsample":
-                if needs_downsample:
+                extent = self.config.input_extent
+                if cur.data.ndim != 5 or cur.shape[1] != 1:
+                    raise DataError(f"expected [N, 1, D, H, W] input, got {cur.shape}")
+                spatial = cur.shape[2:]
+                if spatial == (2 * extent,) * 3:
                     cur = ops.downsample2x(cur, tape=tape)
+                elif spatial != (extent,) * 3:
+                    raise DataError(f"input extent {spatial} matches neither {extent} "
+                                    f"nor {2 * extent}")
             elif kind == "conv":
                 cur = ops.conv3d(cur, self.params[layer.name + ".weight"],
                                  self.params[layer.name + ".bias"], tape=tape)
@@ -158,10 +162,8 @@ class Model:
                 relu_in = cur
                 cur = ops.relu(cur, tape=tape, out=relu_in.data)
                 _empty(relu_in)
-                if layer.name == self.feature_layer:
-                    features = cur
             elif kind == "pool":
-                cur, _ = ops.maxpool3d(cur, tape=tape)
+                cur = ops.maxpool3d(cur, tape=tape)
             elif kind == "flatten":
                 cur = ops.reshape(cur, (cur.shape[0], -1), tape=tape)
             elif kind == "dropout":
@@ -172,11 +174,10 @@ class Model:
             elif kind == "sigmoid":
                 cur = ops.sigmoid(cur, tape=tape)
             elif kind == "softmax":
-                logits = cur
-                probs = ops.softmax(logits, tape=tape)
+                cur = ops.softmax(cur, tape=tape)
             else:  # pragma: no cover
                 raise AssertionError(f"unhandled layer kind {kind}")
-        return ForwardResult(probs=probs, logits=logits, features=features)
+        return cur
 
 
 def _empty(t: Tensor) -> None:
@@ -265,7 +266,6 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
         if block < 5:
             model.layers.append(LayerInfo("pool", f"block{block}.pool"))
             extent //= 2
-        model.block_extents.append(extent)
 
     flat = channels[-1] * extent ** 3
     h1, h2 = config.classifier_dims

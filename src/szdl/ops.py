@@ -142,12 +142,12 @@ def _require_even(extents: tuple[int, int, int]) -> None:
         raise DataError(f"spatial extents {extents} must be even")
 
 
-def maxpool3d(x: Tensor, tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
-    """Disjoint 2x2x2 max pooling; returns the pooled tensor and the argmax.
+def maxpool3d(x: Tensor, tape: Tape | None = None) -> Tensor:
+    """Disjoint 2x2x2 max pooling.
 
-    The argmax stores each block's winning local index 0-7 as ``uint8``
-    (ties resolved to the lowest linear index), and the backward pass
-    routes the gradient only there.
+    The backward closure keeps each block's winning local index 0-7 as
+    ``uint8`` (ties resolved to the lowest linear index) and routes the
+    gradient only there.
     """
     n, c, d, h, w = x.shape
     _require_even((d, h, w))
@@ -166,7 +166,7 @@ def maxpool3d(x: Tensor, tape: Tape | None = None) -> tuple[Tensor, np.ndarray]:
             return (np.ascontiguousarray(dx).reshape(n, c, d, h, w),)
 
         tape.record(result, (x,), bwd)
-    return result, arg
+    return result
 
 
 def downsample2x(x: Tensor, tape: Tape | None = None) -> Tensor:

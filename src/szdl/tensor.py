@@ -10,12 +10,12 @@ of both contributions.
 A tape is spent by one replay: ``backward`` pops each node as it runs it,
 so every closure and the arrays it saved are freed once used, and a second
 ``backward`` on the same tape raises ``ValueError``.  Closures save only
-what they read, and ``Model.apply`` hands the activations that no closure
+what they read, and ``Model.run`` hands the activations that no closure
 reads to the next op as its output buffer, then empties the tensor: each
 convolution output becomes its batch norm's output, and each ReLU input (in
 a convolution unit, the squeeze-and-excitation output) becomes the ReLU's
-output.  It never empties a tensor its caller sees (the input, features,
-logits or probabilities).
+output.  The only tensor its caller sees that it empties is the input of a
+range that starts at a BN or ReLU layer.
 
 One rule decides which gradients are computed: ``backward``'s ``inputs``
 (by default every :class:`Parameter` the tape read).  Only tensors on a path

@@ -178,22 +178,9 @@ class EarlyStopTracker:
 # data plumbing
 
 
-class VolumeCache:
-    """Loads each scan once; hands out Volume views keyed by record."""
-
-    def __init__(self, root: Path):
-        self.root = Path(root)
-        self._cache: dict[str, Volume] = {}
-
-    def get(self, record: ScanRecord) -> Volume:
-        vol = self._cache.get(record.scan_path)
-        if vol is None:
-            path = Path(record.scan_path)
-            if not path.is_absolute():
-                path = self.root / path
-            vol = load_volume(path)
-            self._cache[record.scan_path] = vol
-        return vol
+def load_scan(record: ScanRecord, data_root) -> Volume:
+    """Read one record's scan; a relative ``scan_path`` resolves under ``data_root``."""
+    return load_volume(Path(data_root) / record.scan_path)
 
 
 def _split_records(records: list[ScanRecord], split: str) -> list[ScanRecord]:
@@ -233,7 +220,6 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     _require_two_class_split(train, "train")
     _require_two_class_split(val, "val")
 
-    cache = VolumeCache(Path(data_root))
     model = build_model(config.model, seed=config.seed)
     adam = AdamState.for_params(model.parameters())
     history = TrainHistory()
@@ -256,7 +242,7 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
             for step, (start, stop) in enumerate(zip(bounds, bounds[1:])):
                 idx = order[start:stop]
                 batch_records = [train[i] for i in idx]
-                volumes = [cache.get(r) for r in batch_records]
+                volumes = [load_scan(r, data_root) for r in batch_records]
                 if config.augment:
                     jobs = [(vol, [config.seed, _STREAM_AUGMENT, epoch, int(i)])
                             for vol, i in zip(volumes, idx)]
@@ -279,7 +265,7 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
                 epoch_loss += loss.item() * len(batch_records)
 
             train_loss = epoch_loss / len(train)
-            val_loss, val_scored = _evaluate(model, val, cache)
+            val_loss, val_scored = _evaluate(model, val, data_root)
             val_auc = auc(val_scored)
             history.records.append(EpochRecord(epoch, train_loss, val_loss, val_auc))
 
@@ -303,27 +289,31 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
 
 
 def _evaluate(model: Model, records: list[ScanRecord],
-              cache: VolumeCache) -> tuple[float, ScoredSet]:
-    """Eval-mode mean loss and class-1 scores over a record list."""
+              data_root) -> tuple[float, ScoredSet]:
+    """Eval-mode mean loss per scan, and per subject the class-1 probability
+    averaged over the subject's scans (subjects in manifest order)."""
     labels = np.array([r.label for r in records])
     total = 0.0
     scores = []
     for start in range(0, len(records), _EVAL_BATCH_SIZE):
         chunk = records[start:start + _EVAL_BATCH_SIZE]
-        x = _stack_batch([cache.get(r) for r in chunk], model.dtype)
+        x = _stack_batch([load_scan(r, data_root) for r in chunk], model.dtype)
         result = model.apply(x, mode="eval")
         loss = ops.cross_entropy(result.logits, labels[start:start + _EVAL_BATCH_SIZE])
         if not np.isfinite(loss.data):
             raise NumericalError("non-finite validation loss")
         total += loss.item() * len(chunk)
         scores.append(result.probs.data[:, 1].astype(np.float64))
-    return total / len(records), ScoredSet(np.concatenate(scores), labels,
-                                           subject_ids=tuple(r.subject_id for r in records))
+    rows: dict[str, int] = {}  # subject id -> its row, in order of first scan
+    row = np.array([rows.setdefault(r.subject_id, len(rows)) for r in records])
+    first = np.unique(row, return_index=True)[1]
+    means = np.bincount(row, weights=np.concatenate(scores)) / np.bincount(row)
+    return total / len(records), ScoredSet(means, labels[first], subject_ids=tuple(rows))
 
 
 def score_records(model: Model, records: list[ScanRecord], data_root=".") -> ScoredSet:
-    """Eval-mode likelihood scores for a record list (e.g. the test split)."""
-    return _evaluate(model, records, VolumeCache(Path(data_root)))[1]
+    """Eval-mode likelihood scores, one per subject, for a record list (e.g. the test split)."""
+    return _evaluate(model, records, data_root)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ and the small helpers that only tests call.
 The references are written with explicit loops or element-by-element
 arithmetic, deliberately sharing no code with the production kernels.  The
 helpers at the end (elementwise tape ops, a backward pass along a direction,
-an activation dispatcher, single scan scoring, CAM localization and a few
-summaries) build on szdl's public API.
+an activation dispatcher, single scan scoring, block output shapes, CAM
+localization and a few summaries) build on szdl's public API.
 """
 
 import numpy as np
@@ -259,6 +259,19 @@ def predict_likelihood(model, volume) -> float:
                         f"{extent}^3 nor {2 * extent}^3")
     x = Tensor(volume.data[None, None].astype(model.dtype))
     return float(model.apply(x, mode="eval").probs.data[0, 1])
+
+
+def block_shapes(model, x: Tensor) -> list[tuple[int, ...]]:
+    """Shape of each convolution block's output (after its pool, where it has
+    one), from eval-mode ``Model.run`` chained block by block."""
+    shapes, start = [], 0
+    for block in range(1, 6):
+        stop = 1 + max(i for i, layer in enumerate(model.layers)
+                       if layer.name.startswith(f"block{block}."))
+        x = model.run(x, "eval", start, stop)
+        shapes.append(x.shape)
+        start = stop
+    return shapes
 
 
 def central_region(size: int) -> np.ndarray:

@@ -50,6 +50,7 @@ from oracles import (
     activation,
     auc_pair_count,
     backward_along,
+    block_shapes,
     conv3d_loops,
     localization_score,
     matmul_loops,
@@ -188,7 +189,7 @@ class TestCriterion2GradientSuite:
 
         x = leaf(1, 2, 4, 4, 4)
         direction = rng.standard_normal((1, 2, 2, 2, 2))
-        self._run_op(lambda tape: ops.maxpool3d(x, tape=tape)[0], [x], rng, direction)
+        self._run_op(lambda tape: ops.maxpool3d(x, tape=tape), [x], rng, direction)
 
         x = leaf(3, 2, 3, 3, 3)
         gamma, beta = leaf(2), leaf(2)
@@ -294,11 +295,11 @@ class TestCriterion3ArchitectureShape:
             assert counts["pool"] == 4
             assert counts["dense"] == 3
             assert counts["dropout"] == 2
-            assert model.block_extents == [48, 24, 12, 6, 6]
             x = Tensor(np.random.default_rng(0).random((1, 1, 96, 96, 96),
                                                        dtype=np.float32))
-            result = model.apply(x, mode="eval")
-            assert result.features.shape == (1, 512, 6, 6, 6)
+            shapes = block_shapes(model, x)
+            assert [shape[2] for shape in shapes] == [48, 24, 12, 6, 6]
+            assert shapes[-1] == (1, 512, 6, 6, 6)
 
 
 class TestCriterion4Adam:

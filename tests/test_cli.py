@@ -146,13 +146,15 @@ class TestEvalAndCompare:
         assert err.startswith("data error: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["compare", "eval"])
+    @pytest.mark.parametrize("command", ["compare", "eval", "eval-alone"])
     def test_repeated_subject_id_exit_2(self, tmp_path, capsys, command):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_scores(a, [("x", 0.9, 1), ("x", 0.4, 1), ("y", 0.5, 0), ("z", 0.1, 0)])
         write_scores(b, [("x", 0.8, 1), ("y", 0.3, 0), ("y", 0.6, 0), ("z", 0.2, 0)])
-        argv = {"compare": ("compare", "--scores-a", a), "eval": ("eval", "--scores", a)}
-        assert run(*argv[command], "--scores-b", b, "--out", tmp_path / "r") == 2
+        argv = {"compare": ("compare", "--scores-a", a, "--scores-b", b),
+                "eval": ("eval", "--scores", a, "--scores-b", b),
+                "eval-alone": ("eval", "--scores", a)}
+        assert run(*argv[command], "--out", tmp_path / "r") == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: the first score file repeats subject 'x'")
         assert "Traceback" not in err
@@ -223,6 +225,31 @@ class TestTrainPipeline:
         assert 0.0 <= report["auc"] <= 1.0
         scored = read_scores_csv(report_dir / "scores.csv")
         assert len(scored.labels) == 2  # the 12-per-class synth test split
+
+    def test_two_scan_subject_scored_once(self, trained, tmp_path):
+        # every subject in the test split; subject a gets a second scan (b's, copied)
+        code, root, data, cfg, out = trained
+        records = [replace(r, split="test") for r in load_manifest(data / "manifest.json")]
+        a, b = [r for r in records if r.label == 1][:2]
+        (tmp_path / "extra.nii").write_bytes((data / b.scan_path).read_bytes())
+        save_manifest(records, tmp_path / "one.json")
+        save_manifest(records + [replace(a, scan_path=str(tmp_path / "extra.nii"))],
+                      tmp_path / "two.json")
+        for name in ("one", "two"):
+            assert run("eval", "--checkpoint", out / "model.ckpt", "--manifest",
+                       tmp_path / f"{name}.json", "--data-root", data,
+                       "--out", tmp_path / name) == 0
+        one = read_scores_csv(tmp_path / "one" / "scores.csv")
+        two = read_scores_csv(tmp_path / "two" / "scores.csv")
+        assert two.subject_ids == one.subject_ids == tuple(r.subject_id for r in records)
+        scores = dict(zip(one.subject_ids, one.scores))
+        mean = (scores[a.subject_id] + scores[b.subject_id]) / 2
+        assert dict(zip(two.subject_ids, two.scores))[a.subject_id] == pytest.approx(mean)
+        files = tmp_path / "two" / "scores.csv", tmp_path / "one" / "scores.csv"
+        assert run("compare", "--scores-a", files[0], "--scores-b", files[1],
+                   "--out", tmp_path / "cmp") == 0
+        assert run("eval", "--scores", files[0], "--scores-b", files[1],
+                   "--out", tmp_path / "both") == 0
 
     def test_cam_from_checkpoint(self, trained):
         code, root, data, cfg, out = trained

@@ -34,6 +34,11 @@ def random_volume(extent=16, seed=0):
     return Volume(rng.random((extent,) * 3, dtype=np.float32))
 
 
+def source_stop(model):
+    """End of the layer range whose output is the Grad-CAM source's activations."""
+    return [layer.name for layer in model.layers].index(model.feature_layer) + 1
+
+
 class TestToyModelChainRule:
     def test_raw_map_equals_weighted_features_over_pool_factor(self):
         """Single conv -> GAP -> linear head: CAM weights must reduce to the
@@ -89,13 +94,16 @@ class TestGradCam:
         for p in model.parameters():
             assert np.array_equal(p.grad, before[p.name]), p.name
 
-        # the same map as a full backward that also computes parameter gradients
+        # the same map as a full backward, every layer on one tape, that also
+        # computes parameter gradients
         tape = Tape()
-        result = model.apply(Tensor(volume.data[None, None]), mode="eval", tape=tape)
-        backward(tape, ops.take(result.logits, (0, 1), tape=tape),
-                 [result.features, *model.parameters()])
-        weights = result.features.grad[0].mean(axis=(1, 2, 3), dtype=np.float64)
-        raw = np.maximum(np.tensordot(weights, result.features.data[0].astype(np.float64),
+        stop = source_stop(model)
+        features = model.run(Tensor(volume.data[None, None]), "eval", 0, stop, tape=tape)
+        logits = model.run(features, "eval", stop, -1, tape=tape)
+        backward(tape, ops.take(logits, (0, 1), tape=tape),
+                 [features, *model.parameters()])
+        weights = features.grad[0].mean(axis=(1, 2, 3), dtype=np.float64)
+        raw = np.maximum(np.tensordot(weights, features.data[0].astype(np.float64),
                                       axes=(0, 0)), 0.0)
         assert raw.any() and not cam.degenerate
         full = trilinear_resize(raw, cam.extents)
@@ -121,6 +129,27 @@ class TestGradCam:
         grad_cam(model, random_volume(extent=48), target_class=1)
         # block 5 (two conv units) lies between block4.relu2 and the logits
         assert (ran["conv3d"], ran["batchnorm3d"]) == (2, 2)
+
+    def test_tape_starts_at_source_layer(self, monkeypatch):
+        model = toy_model(input_extent=48)
+        assert model.feature_layer == "block4.relu2"
+        recorded = []
+        record = Tape.record
+
+        def counting_record(tape, output, inputs, backward_fn):
+            recorded.append((backward_fn.__qualname__.split(".")[0], inputs))
+            record(tape, output, inputs, backward_fn)
+
+        monkeypatch.setattr(Tape, "record", counting_record)
+        grad_cam(model, random_volume(extent=48), target_class=1)
+        ops_taped = Counter(op for op, _ in recorded)
+        # block 5's two conv units, and no conv unit below the source
+        assert (ops_taped["conv3d"], ops_taped["batchnorm3d"]) == (2, 2)
+        # the first node reads block4.relu2's [1, 64, 6, 6, 6] activations: block 4's pool
+        first_op, first_inputs = recorded[0]
+        assert first_op == "maxpool3d" and ops_taped["maxpool3d"] == 1
+        assert [t.shape for t in first_inputs] == [(1, 64, 6, 6, 6)]
+        assert "downsample2x" not in ops_taped
 
     def test_blocked_gradient_path_degenerates(self):
         model = toy_model()
@@ -175,7 +204,7 @@ class TestSourceLayer:
         assert model.feature_layer == "block5.relu2"
         x = Tensor(np.random.default_rng(0).random((1, 1, 96, 96, 96),
                                                    dtype=np.float32))
-        assert model.apply(x, mode="eval").features.shape == (1, 512, 6, 6, 6)
+        assert model.run(x, "eval", 0, source_stop(model)).shape == (1, 512, 6, 6, 6)
 
     def test_acceptance_extent_reads_block4(self):
         # the end-to-end acceptance model: at 48^3 block 5 is only 3^3
@@ -184,7 +213,7 @@ class TestSourceLayer:
         assert model.feature_layer == "block4.relu2"
         vol = random_volume(extent=48, seed=21)
         x = Tensor(vol.data[None, None])
-        assert model.apply(x, mode="eval").features.shape[2:] == (6, 6, 6)
+        assert model.run(x, "eval", 0, source_stop(model)).shape[2:] == (6, 6, 6)
         assert grad_cam(model, vol, 1).source_layer == model.feature_layer
 
 
@@ -197,12 +226,14 @@ class TestResampling:
             # reconstruct the raw map independently of grad_cam internals
             x = Tensor(vol.data[None, None].astype(model.dtype))
             tape = Tape()
-            result = model.apply(x, mode="eval", tape=tape)
-            score = ops.take(result.logits, (0, 1), tape=tape)
-            backward(tape, score, [result.features])
-            w = result.features.grad[0].mean(axis=(1, 2, 3), dtype=np.float64)
+            stop = source_stop(model)
+            features = model.run(x, "eval", 0, stop, tape=tape)
+            score = ops.take(model.run(features, "eval", stop, -1, tape=tape), (0, 1),
+                             tape=tape)
+            backward(tape, score, [features])
+            w = features.grad[0].mean(axis=(1, 2, 3), dtype=np.float64)
             raw = np.maximum(
-                np.tensordot(w, result.features.data[0].astype(np.float64),
+                np.tensordot(w, features.data[0].astype(np.float64),
                              axes=(0, 0)), 0)
             if raw.max() <= raw.min():
                 continue  # ReLU killed this random model's map

@@ -16,7 +16,7 @@ from szdl.model import (
 from szdl.nifti import Volume
 from szdl.tensor import Tape, Tensor, backward
 
-from oracles import parameter_count, predict_likelihood
+from oracles import block_shapes, parameter_count, predict_likelihood
 
 
 def toy_config(extent=16, **overrides):
@@ -49,8 +49,10 @@ class TestConfig:
 
 class TestStructure:
     def test_default_block_extents(self):
-        model = build_model(ModelConfig(), seed=0)
-        assert model.block_extents == [48, 24, 12, 6, 6]
+        # the extents depend on input_extent alone: 96, the default, at a toy width
+        model = build_model(toy_config(extent=96), seed=0)
+        x = Tensor(np.zeros((1, 1, 96, 96, 96), dtype=np.float32))
+        assert [shape[2] for shape in block_shapes(model, x)] == [48, 24, 12, 6, 6]
 
     def test_layer_inventory(self):
         model = build_model(ModelConfig(), seed=0)
@@ -88,7 +90,7 @@ class TestStructure:
             expected += 2 * c                   # bn
             expected += 2 * c * c // r + c // r + c  # se bottleneck
             cin = c
-        flat = channels[-1] * model.block_extents[-1] ** 3
+        flat = channels[-1] * (cfg.input_extent // 2 ** 4) ** 3  # after four 2x pools
         h1, h2 = cfg.classifier_dims
         expected += flat * h1 + h1 + h1 * h2 + h2 + h2 * 2 + 2
         assert parameter_count(model) == expected
@@ -149,8 +151,7 @@ class TestForward:
         model = build_model(ModelConfig(), seed=0)
         rng = np.random.default_rng(1)
         x = Tensor(rng.random((1, 1, 96, 96, 96)).astype(np.float32))
-        result = model.apply(x, mode="eval")
-        assert result.features.shape == (1, 512, 6, 6, 6)
+        assert block_shapes(model, x)[-1] == (1, 512, 6, 6, 6)
 
     def test_full_resolution_input_downsampled(self):
         model = build_model(toy_config(), seed=1)

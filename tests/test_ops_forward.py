@@ -5,7 +5,7 @@ import pytest
 
 from szdl import ops
 from szdl.errors import DataError
-from szdl.tensor import Tensor
+from szdl.tensor import Tape, Tensor, backward
 
 from oracles import activation, conv3d_loops, matmul_loops, mean_loops
 
@@ -40,22 +40,30 @@ class TestConv3d:
                        Tensor(np.zeros((1, 3, 3, 3, 3))), Tensor(np.zeros(1)))
 
 
+def pool_one_block(values):
+    """Max-pool one 2x2x2 block; returns the output and the local indices (0-7)
+    that the backward pass routes the gradient to."""
+    x = Tensor(np.asarray(values, dtype=np.float64).reshape(1, 1, 2, 2, 2))
+    tape = Tape()
+    out = ops.maxpool3d(x, tape=tape)
+    backward(tape, out, [x])
+    return out, np.flatnonzero(x.grad).tolist()
+
+
 class TestMaxpool:
     def test_constant_halves_extents(self):
-        out, _ = ops.maxpool3d(Tensor(np.full((1, 1, 4, 6, 8), 3.0)))
+        out = ops.maxpool3d(Tensor(np.full((1, 1, 4, 6, 8), 3.0)))
         assert out.shape == (1, 1, 2, 3, 4)
         assert np.all(out.data == 3.0)
 
     def test_enumerated_block(self):
-        x = np.arange(1.0, 9.0).reshape(1, 1, 2, 2, 2)
-        out, arg = ops.maxpool3d(Tensor(x))
+        out, routed = pool_one_block(np.arange(1.0, 9.0))
         assert out.data[0, 0, 0, 0, 0] == 8.0
-        assert arg[0, 0, 0, 0, 0] == 7
+        assert routed == [7]
 
     def test_tie_takes_lowest_linear_index(self):
-        x = np.zeros((1, 1, 2, 2, 2))
-        _, arg = ops.maxpool3d(Tensor(x))
-        assert arg[0, 0, 0, 0, 0] == 0
+        _, routed = pool_one_block(np.zeros(8))
+        assert routed == [0]
 
     def test_odd_extent_rejected(self):
         with pytest.raises(DataError, match=r"spatial extents \(3, 4, 4\) must be even"):

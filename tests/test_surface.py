@@ -130,5 +130,5 @@ def test_every_raise_names_an_exit_code_type():
         ("cli", "_out_dir", "argparse.ArgumentTypeError"),
         ("config", "from_dict", "TypeError"),  # both callers turn it into ValueError or DataError
         ("config", "from_dict", "TypeError"),
-        ("model", "apply", "AssertionError (no cover)"),
+        ("model", "run", "AssertionError (no cover)"),
     ]

@@ -1,8 +1,11 @@
 """Adam, the training loop, early stopping, and checkpoint persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from szdl import train
 from szdl.errors import DataError, NumericalError
 from szdl.manifest import assign_splits
 from szdl.model import ModelConfig, build_model
@@ -143,6 +146,25 @@ class TestFit:
         _, _, history = fit(cfg, records, data_root=root)
         assert history.stop_reason == "early-stop"
         assert len(history.records) < 40
+
+    def test_each_scan_loaded_when_a_batch_needs_it(self, tmp_path, monkeypatch):
+        # no scan is kept between uses: every epoch reads each train and val scan once
+        records = assign_splits(synthesize_dataset(tmp_path, 10, PhantomSpec(size=16)))
+        loads = []
+        load = train.load_volume
+
+        def counting_load(path):
+            loads.append(Path(path).name)
+            return load(path)
+
+        monkeypatch.setattr(train, "load_volume", counting_load)
+        model = ModelConfig(input_extent=16, width_scale=1 / 8, se_ratio=4,
+                            classifier_dims=(8, 4))
+        _, _, history = fit(tiny_train_config(model=model, max_epochs=2), records,
+                            data_root=tmp_path)
+        assert len(history.records) == 2
+        used = [Path(r.scan_path).name for r in records if r.split in ("train", "val")]
+        assert sorted(loads) == sorted(used * 2)
 
     def test_empty_split_rejected(self, small_dataset):
         root, records = small_dataset
