@@ -16,7 +16,8 @@ and the forward pass interprets ranges of that list (:meth:`Model.run`), so
 structural assertions and execution can never drift apart: ``apply`` runs
 the whole stack, Grad-CAM tapes only the layers above its source.  Only the
 downsample layer reads the raw input, and it checks the input's shape.  A
-range that starts at a BN or ReLU layer takes over its input's buffer.
+range that starts at a BN or ReLU layer, or untaped at an SE layer, takes
+over its input's buffer.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class Model:
             rng: Optional[np.random.Generator] = None) -> Tensor:
         """Interpret ``self.layers[start:stop]`` on ``x``, recording only its ops on
         ``tape``; returns the last layer's output.  A range that starts at a BN
-        or ReLU layer writes into ``x``'s buffer and empties ``x``."""
+        or ReLU layer (or, with no tape, at an SE layer) writes into ``x``'s
+        buffer and empties ``x``."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         cur = x
@@ -153,11 +155,13 @@ class Model:
                                       self.bn_states[layer.name], tape=tape,
                                       out=conv_out.data)
                 _empty(conv_out)
-            elif kind == "se":
-                se = layer.name
+            elif kind == "se":  # only a taped closure reads the BN output
+                se, bn_out = layer.name, cur
                 cur = se_block(cur, self.params[se + ".fc1.weight"], self.params[se + ".fc1.bias"],
                                self.params[se + ".fc2.weight"], self.params[se + ".fc2.bias"],
-                               tape=tape)
+                               tape=tape, out=bn_out.data if tape is None else None)
+                if cur.data is bn_out.data:
+                    _empty(bn_out)
             elif kind == "relu":
                 relu_in = cur
                 cur = ops.relu(cur, tape=tape, out=relu_in.data)
@@ -187,15 +191,16 @@ def _empty(t: Tensor) -> None:
 
 
 def se_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-             tape: Optional[Tape] = None) -> Tensor:
+             tape: Optional[Tape] = None, out: Optional[np.ndarray] = None) -> Tensor:
     """Squeeze-and-excitation: pool to [N,C], dense bottleneck, sigmoid gate.
 
-    output(n, c, .) = gate(n, c) * x(n, c, .) with gate in (0, 1).
+    output(n, c, .) = gate(n, c) * x(n, c, .) with gate in (0, 1), written to
+    ``out`` if given (``x.data`` only without a tape, as ``channel_scale``).
     """
     squeezed = ops.global_avg_pool(x, tape=tape)
     hidden = ops.relu(ops.dense(squeezed, w1, b1, tape=tape), tape=tape)
     gate = ops.sigmoid(ops.dense(hidden, w2, b2, tape=tape), tape=tape)
-    return ops.channel_scale(x, gate, tape=tape)
+    return ops.channel_scale(x, gate, tape=tape, out=out)
 
 
 # ---------------------------------------------------------------------------

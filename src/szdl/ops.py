@@ -4,7 +4,8 @@ All kernels take and return :class:`~szdl.tensor.Tensor` and optionally
 record themselves on a :class:`~szdl.tensor.Tape`.  Convolution is
 computed per sample as GEMMs over im2col buffers built in bounded pieces
 (``_CHUNK_BYTES``): the forward pass splits the output depth into slabs,
-so each GEMM keeps the full reduction length, and the backward pass splits
+so each GEMM keeps the full reduction length and writes straight into its
+slab of the output, and the backward pass splits
 the input channels, so each input-gradient element still sums its 27
 shifted slice-adds in the same order.  No buffer is cached on the tape: the
 backward pass rebuilds im2col only when the weight gradient is needed.
@@ -13,9 +14,14 @@ Nets with Sublinear Memory Cost") keeps the tape from holding a 27x copy of
 every convolution input.  For the same reason each closure captures only
 what it reads: ReLU takes its mask from its own output (``out > 0`` exactly
 where ``x > 0``) and batch norm reads its normalized ``xhat``, so neither
-reads its input.  ``Model.apply`` therefore passes that input's own array
+reads its input.  ``Model.run`` therefore passes that input's own array
 as ``out``: the output takes over the buffer, and no dead activation is
 freed while a new one of the same size is allocated.
+
+Without a tape an op computes only what it returns: max pooling builds no
+argmax, batch norm no separate ``xhat``, and ``channel_scale`` may write
+into its input (``Model.run`` passes the batch-norm output's buffer).  Each
+output is byte-identical to the taped one.
 
 Statistical reductions (means, variances, sums feeding scalars) run in
 64-bit accumulators regardless of the engine dtype; BLAS contractions
@@ -94,9 +100,11 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     out = np.empty((n, cout, d, h, wd), dtype=x.dtype)
     for i in range(n):
         xp = _pad(x.data[i])
+        out_mat = out[i].reshape(cout, d * h * wd)
         for s in _pieces(d, cin * 27 * h * wd * itemsize):
-            np.add((w_mat @ _im2col(xp[:, s.start:s.stop + 2])).reshape(cout, -1, h, wd),
-                   b.data[:, None, None, None], out=out[i, :, s])
+            o = out_mat[:, s.start * h * wd:s.stop * h * wd]
+            np.matmul(w_mat, _im2col(xp[:, s.start:s.stop + 2]), out=o)
+            o += b.data[:, None]
 
     result = Tensor(out)
     if tape is not None:
@@ -145,27 +153,34 @@ def _require_even(extents: tuple[int, int, int]) -> None:
 def maxpool3d(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Disjoint 2x2x2 max pooling.
 
-    The backward closure keeps each block's winning local index 0-7 as
-    ``uint8`` (ties resolved to the lowest linear index) and routes the
-    gradient only there.
+    Under a tape, the backward closure keeps each block's winning local
+    index 0-7 as ``uint8`` (ties resolved to the lowest linear index) and
+    routes the gradient only there.  Without a tape no argmax is built: three
+    pairwise ``np.maximum`` reductions give the same bytes, since on a tie
+    ``np.maximum`` returns its second operand, here the lower-index half
+    (a signed-zero tie, which ReLU outputs never hold, is the only tie whose
+    bytes could differ).
     """
     n, c, d, h, w = x.shape
     _require_even((d, h, w))
     d2, h2, w2 = d // 2, h // 2, w // 2
+    if tape is None:
+        v = x.data.reshape(n, c, d2, 2, h2, 2, w2, 2)
+        v = np.maximum(v[:, :, :, 1], v[:, :, :, 0])
+        v = np.maximum(v[:, :, :, :, 1], v[:, :, :, :, 0])
+        return Tensor(np.maximum(v[..., 1], v[..., 0]))
     blocks = x.data.reshape(n, c, d2, 2, h2, 2, w2, 2).transpose(_POOL_FWD_PERM)
     blocks = np.ascontiguousarray(blocks).reshape(n, c, d2, h2, w2, 8)
     arg = blocks.argmax(axis=-1).astype(np.uint8)
-    out = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+    result = Tensor(np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0])
 
-    result = Tensor(out)
-    if tape is not None:
-        def bwd(grad, needs):
-            scattered = np.zeros((n, c, d2, h2, w2, 8), dtype=x.dtype)
-            np.put_along_axis(scattered, arg[..., None], grad[..., None], axis=-1)
-            dx = scattered.reshape(n, c, d2, h2, w2, 2, 2, 2).transpose(_POOL_INV_PERM)
-            return (np.ascontiguousarray(dx).reshape(n, c, d, h, w),)
+    def bwd(grad, needs):
+        scattered = np.zeros((n, c, d2, h2, w2, 8), dtype=x.dtype)
+        np.put_along_axis(scattered, arg[..., None], grad[..., None], axis=-1)
+        dx = scattered.reshape(n, c, d2, h2, w2, 2, 2, 2).transpose(_POOL_INV_PERM)
+        return (np.ascontiguousarray(dx).reshape(n, c, d, h, w),)
 
-        tape.record(result, (x,), bwd)
+    tape.record(result, (x,), bwd)
     return result
 
 
@@ -234,7 +249,9 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNStat
     updates ``state`` by exponential moving average; eval mode normalizes
     with the stored running statistics.  Reductions use 64-bit accumulators.
     The result is written to ``out`` if given (``x.data`` itself may be
-    passed: it is read in full before ``out`` is written).
+    passed: it is read in full before ``out`` is written).  Without a tape
+    no closure reads the normalized ``xhat``, so it is computed in the output
+    buffer, with the same roundings.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -242,12 +259,13 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNStat
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DataError(f"gamma/beta must have shape ({c},)")
 
+    dest = out if tape is None else None
     if mode == "train":
         count = n * d * h * w
         if count < 2:
             raise DataError("train-mode batchnorm needs >= 2 elements per channel")
         mean = x.data.mean(axis=(0, 2, 3, 4), dtype=np.float64)
-        xhat = x.data - mean[None, :, None, None, None].astype(x.dtype)  # centred
+        xhat = np.subtract(x.data, mean[None, :, None, None, None].astype(x.dtype), out=dest)
         var = np.square(xhat, dtype=np.float64).mean(axis=(0, 2, 3, 4), dtype=np.float64)
         istd = (1.0 / np.sqrt(var + _BN_EPS)).astype(x.dtype)
         momentum = _BN_MOMENTUM
@@ -255,11 +273,12 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNStat
         state.var[...] = (1 - momentum) * state.var + momentum * var.astype(state.var.dtype)
     else:
         istd = (1.0 / np.sqrt(state.var.astype(np.float64) + _BN_EPS)).astype(x.dtype)
-        xhat = x.data - state.mean.astype(x.dtype)[None, :, None, None, None]
+        xhat = np.subtract(x.data, state.mean.astype(x.dtype)[None, :, None, None, None], out=dest)
     istd5 = istd[None, :, None, None, None]
     xhat *= istd5
 
-    out = np.multiply(gamma.data[None, :, None, None, None], xhat, out=out)
+    out = np.multiply(gamma.data[None, :, None, None, None], xhat,
+                      out=xhat if tape is None else out)
     out += beta.data[None, :, None, None, None]
     result = Tensor(out)
 
@@ -329,8 +348,8 @@ def relu(x: Tensor, tape: Tape | None = None, out: np.ndarray | None = None) -> 
 
 def sigmoid(x: Tensor, tape: Tape | None = None) -> Tensor:
     z = x.data
-    out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                   np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z)))).astype(x.dtype)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
     result = Tensor(out)
     if tape is not None:
         def bwd(grad, needs):
@@ -427,12 +446,15 @@ def reshape(x: Tensor, shape, tape: Tape | None = None) -> Tensor:
     return result
 
 
-def channel_scale(x: Tensor, gate: Tensor, tape: Tape | None = None) -> Tensor:
-    """Multiply each channel of [N,C,D,H,W] by a per-(sample, channel) gate."""
+def channel_scale(x: Tensor, gate: Tensor, tape: Tape | None = None,
+                  out: np.ndarray | None = None) -> Tensor:
+    """Multiply each channel of [N,C,D,H,W] by a per-(sample, channel) gate,
+    written to ``out`` if given.  ``x.data`` itself may be passed only without
+    a tape: the backward closure reads ``x`` for the gate's gradient."""
     if gate.shape != x.shape[:2]:
         raise DataError(f"gate shape {gate.shape} != {x.shape[:2]}")
     g5 = gate.data[:, :, None, None, None]
-    out = x.data * g5
+    out = np.multiply(x.data, g5, out=out)
 
     result = Tensor(out)
     if tape is not None:

@@ -12,10 +12,11 @@ so every closure and the arrays it saved are freed once used, and a second
 ``backward`` on the same tape raises ``ValueError``.  Closures save only
 what they read, and ``Model.run`` hands the activations that no closure
 reads to the next op as its output buffer, then empties the tensor: each
-convolution output becomes its batch norm's output, and each ReLU input (in
+convolution output becomes its batch norm's output, each ReLU input (in
 a convolution unit, the squeeze-and-excitation output) becomes the ReLU's
-output.  The only tensor its caller sees that it empties is the input of a
-range that starts at a BN or ReLU layer.
+output, and with no tape each batch-norm output becomes the gated output.
+The only tensor its caller sees that it empties is the input of a range
+that starts at a BN or ReLU layer, or at an SE layer with no tape.
 
 One rule decides which gradients are computed: ``backward``'s ``inputs``
 (by default every :class:`Parameter` the tape read).  Only tensors on a path

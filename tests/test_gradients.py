@@ -462,3 +462,39 @@ class TestTapeMemory:
 
         for fresh, reused in zip(run(False), run(True)):
             np.testing.assert_array_equal(reused, fresh)
+
+    @pytest.mark.parametrize("op", ["batchnorm3d-eval", "batchnorm3d-train", "channel_scale"])
+    def test_untaped_output_into_input_buffer_matches_taped_bytes(self, op):
+        """Untaped BN and ``channel_scale`` into ``x.data``, as ``Model.run``
+        passes them, give the fresh-buffer and the taped bytes (and BN the
+        same running statistics)."""
+        rng = np.random.default_rng(24)
+        data = rng.standard_normal((2, 3, 4, 4, 4)).astype(np.float32)
+        gamma, beta = (Tensor(v) for v in rng.standard_normal((2, 3)).astype(np.float32))
+        gate = Tensor(rng.random((2, 3)).astype(np.float32))
+        stats = rng.standard_normal(3).astype(np.float32), rng.uniform(0.5, 2.0, 3).astype(np.float32)
+
+        def run(into_input, tape=None):
+            x = Tensor(data.copy())
+            out = x.data if into_input else None
+            state = ops.BNState(*(a.copy() for a in stats))
+            if op == "channel_scale":
+                y = ops.channel_scale(x, gate, tape=tape, out=out)
+            else:
+                y = ops.batchnorm3d(x, gamma, beta, op.split("-")[1], state, tape=tape, out=out)
+            assert (y.data is x.data) == into_input
+            return y.data.tobytes(), state.mean.tobytes(), state.var.tobytes()
+
+        assert run(True) == run(False) == run(False, Tape())
+
+    def test_taped_channel_scale_leaves_input_for_gate_gradient(self):
+        rng = np.random.default_rng(25)
+        data = rng.standard_normal((2, 3, 4, 4, 4)).astype(np.float32)
+        x, gate = Tensor(data.copy()), Parameter("gate", rng.random((2, 3)).astype(np.float32))
+        direction = rng.standard_normal(data.shape).astype(np.float32)
+        tape = Tape()
+        y = ops.channel_scale(x, gate, tape=tape)
+        assert y.data is not x.data and x.data.tobytes() == data.tobytes()
+        backward_along(tape, y, direction)
+        np.testing.assert_array_equal(
+            gate.grad, (direction * data).sum(axis=(2, 3, 4), dtype=np.float64).astype(np.float32))

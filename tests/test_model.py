@@ -170,6 +170,23 @@ class TestForward:
         b = model.apply(x, mode="eval").probs
         np.testing.assert_array_equal(a.data, b.data)
 
+    def test_untaped_eval_equals_taped_eval_bytes(self):
+        # value-only pooling, xhat-free BN, in-place SE gating and the conv GEMM
+        # written into its output, against the taped kernels, on non-trivial BN
+        model = build_model(ModelConfig(input_extent=48, width_scale=1 / 8, se_ratio=4), seed=0)
+        rng = np.random.default_rng(9)
+        for name, state in model.bn_states.items():
+            c = state.mean.shape
+            state.mean[...] = rng.normal(0.0, 0.1, c)
+            state.var[...] = rng.uniform(0.5, 2.0, c)
+            model.params[name + ".gamma"].data[...] = rng.uniform(0.5, 1.5, c)
+            model.params[name + ".beta"].data[...] = rng.normal(0.0, 0.1, c)
+        x = rng.random((2, 1, 48, 48, 48), dtype=np.float32)
+        fast = model.apply(Tensor(x.copy()), mode="eval")
+        taped = model.apply(Tensor(x.copy()), mode="eval", tape=Tape())
+        assert fast.logits.data.tobytes() == taped.logits.data.tobytes()
+        assert fast.probs.data.tobytes() == taped.probs.data.tobytes()
+
     def test_eval_mutates_nothing(self):
         model = build_model(toy_config(), seed=1)
         before = [(role, name, a.copy()) for role, name, a in model.state_arrays()]

@@ -1,5 +1,7 @@
 """Forward-pass contracts of the tensor kernels against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,35 @@ class TestMaxpool:
     def test_odd_extent_rejected(self):
         with pytest.raises(DataError, match=r"spatial extents \(3, 4, 4\) must be even"):
             ops.maxpool3d(Tensor(np.zeros((1, 1, 3, 4, 4))))
+
+    def test_untaped_equals_taped_bytes(self):
+        # ReLU-like values from {0, 1, 2}: repeated maxima and all-zero blocks
+        rng = np.random.default_rng(7)
+        x = np.maximum(rng.integers(-2, 3, size=(2, 3, 6, 8, 10)), 0).astype(np.float32)
+        x[1, 2, :2, :2, :2] = 0
+        fast = ops.maxpool3d(Tensor(x)).data
+        taped = ops.maxpool3d(Tensor(x), tape=Tape()).data
+        assert fast.shape == taped.shape == (2, 3, 3, 4, 5) and fast.dtype == taped.dtype
+        assert fast.tobytes() == taped.tobytes()
+
+    def test_nan_block_pools_to_nan_untaped_and_taped(self):
+        x = np.ones((1, 1, 2, 2, 4), dtype=np.float32)
+        x[0, 0, 1, 0, 1] = np.nan
+        for tape in (None, Tape()):
+            out = ops.maxpool3d(Tensor(x), tape=tape).data
+            assert np.isnan(out[0, 0, 0, 0, 0]) and out[0, 0, 0, 0, 1] == 1
+
+    def test_untaped_builds_no_block_copy_or_argmax(self):
+        # the taped path holds a contiguous copy of every block (the input's
+        # size) plus its argmax; the value-only reductions stay below that
+        x = np.random.default_rng(8).random((1, 8, 32, 32, 32), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            ops.maxpool3d(Tensor(x))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
 
 
 class TestBatchnorm:
