@@ -42,12 +42,12 @@ class Volume:
         if self.data.ndim != 3:
             raise DataError(f"volume data must be 3-d, got {self.data.ndim}-d")
         self.voxel_size = tuple(float(v) for v in self.voxel_size)
-        if len(self.voxel_size) != 3 or any(v <= 0 for v in self.voxel_size):
-            raise DataError(f"voxel_size must be three positive lengths, got {self.voxel_size}")
+        if len(self.voxel_size) != 3 or not all(0 < v < np.inf for v in self.voxel_size):
+            raise DataError(f"voxel_size {self.voxel_size} is not three positive finite lengths")
         if self.world_transform is not None:
             self.world_transform = np.asarray(self.world_transform, dtype=np.float64)
-            if self.world_transform.shape != (4, 4):
-                raise DataError("world_transform must be 4x4")
+            if self.world_transform.shape != (4, 4) or not np.isfinite(self.world_transform).all():
+                raise DataError("world_transform must be a finite 4x4 matrix")
 
     @property
     def extents(self) -> tuple[int, int, int]:

@@ -18,10 +18,13 @@ reads its input.  ``Model.run`` therefore passes that input's own array
 as ``out``: the output takes over the buffer, and no dead activation is
 freed while a new one of the same size is allocated.
 
-Without a tape an op computes only what it returns: max pooling builds no
-argmax, batch norm no separate ``xhat``, and ``channel_scale`` may write
-into its input (``Model.run`` passes the batch-norm output's buffer).  Each
-output is byte-identical to the taped one.
+Max pooling has one forward, three pairwise ``np.maximum`` reductions,
+and its backward finds each block's winner by comparing the input with
+the output, both of which the tape holds anyway.  Without a tape an op
+computes only what it returns: batch norm builds no separate ``xhat``,
+and ``channel_scale`` may write into its input (``Model.run`` passes the
+batch-norm output's buffer).  Each output is byte-identical to the taped
+one.
 
 Statistical reductions (means, variances, sums feeding scalars) run in
 64-bit accumulators regardless of the engine dtype; BLAS contractions
@@ -140,10 +143,6 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 # pooling
 
 
-_POOL_FWD_PERM = (0, 1, 2, 4, 6, 3, 5, 7)
-_POOL_INV_PERM = (0, 1, 2, 5, 3, 6, 4, 7)
-
-
 def _require_even(extents: tuple[int, int, int]) -> None:
     """The spatial check of both 2x2x2 reductions, max pooling and downsampling."""
     if any(e % 2 for e in extents):
@@ -151,36 +150,40 @@ def _require_even(extents: tuple[int, int, int]) -> None:
 
 
 def maxpool3d(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Disjoint 2x2x2 max pooling.
+    """Disjoint 2x2x2 max pooling by three pairwise ``np.maximum`` reductions.
 
-    Under a tape, the backward closure keeps each block's winning local
-    index 0-7 as ``uint8`` (ties resolved to the lowest linear index) and
-    routes the gradient only there.  Without a tape no argmax is built: three
-    pairwise ``np.maximum`` reductions give the same bytes, since on a tie
-    ``np.maximum`` returns its second operand, here the lower-index half
-    (a signed-zero tie, which ReLU outputs never hold, is the only tie whose
-    bytes could differ).
+    One forward serves both modes; on a tie ``np.maximum`` returns its
+    second operand, here the lower-index half.  The backward closure stores
+    nothing of its own: it reads the input and the output, which the tape
+    holds anyway, and at each block position 0-7 in linear order sends the
+    gradient to the voxels that equal the block maximum and whose block no
+    earlier position took, so ties go to the lowest linear index.
+
+    Precondition for backward: no NaN.  A block holding a NaN pools to NaN
+    but routes no gradient, since NaN equals nothing; NaN volumes are
+    rejected on load and a non-finite loss raises first.  Likewise a
+    signed-zero tie, which ReLU outputs never hold, may return either zero.
     """
     n, c, d, h, w = x.shape
     _require_even((d, h, w))
-    d2, h2, w2 = d // 2, h // 2, w // 2
-    if tape is None:
-        v = x.data.reshape(n, c, d2, 2, h2, 2, w2, 2)
-        v = np.maximum(v[:, :, :, 1], v[:, :, :, 0])
-        v = np.maximum(v[:, :, :, :, 1], v[:, :, :, :, 0])
-        return Tensor(np.maximum(v[..., 1], v[..., 0]))
-    blocks = x.data.reshape(n, c, d2, 2, h2, 2, w2, 2).transpose(_POOL_FWD_PERM)
-    blocks = np.ascontiguousarray(blocks).reshape(n, c, d2, h2, w2, 8)
-    arg = blocks.argmax(axis=-1).astype(np.uint8)
-    result = Tensor(np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0])
+    blocks = (n, c, d // 2, 2, h // 2, 2, w // 2, 2)
+    v = x.data.reshape(blocks)
+    v = np.maximum(v[:, :, :, 1], v[:, :, :, 0])
+    v = np.maximum(v[:, :, :, :, 1], v[:, :, :, :, 0])
+    result = Tensor(np.maximum(v[..., 1], v[..., 0]))
+    if tape is not None:
+        def bwd(grad, needs):
+            xv, out, dx = x.data.reshape(blocks), result.data, np.zeros(x.shape, dtype=x.dtype)
+            free, hit = np.ones(out.shape, dtype=bool), np.empty(out.shape, dtype=bool)
+            for k in range(8):  # block position (dd, hh, ww) = bits of k
+                at = (slice(None),) * 3 + (k >> 2, slice(None), (k >> 1) & 1, slice(None), k & 1)
+                np.equal(xv[at], out, out=hit)
+                hit &= free
+                np.copyto(dx.reshape(blocks)[at], grad, where=hit)
+                free &= ~hit
+            return (dx,)
 
-    def bwd(grad, needs):
-        scattered = np.zeros((n, c, d2, h2, w2, 8), dtype=x.dtype)
-        np.put_along_axis(scattered, arg[..., None], grad[..., None], axis=-1)
-        dx = scattered.reshape(n, c, d2, h2, w2, 2, 2, 2).transpose(_POOL_INV_PERM)
-        return (np.ascontiguousarray(dx).reshape(n, c, d, h, w),)
-
-    tape.record(result, (x,), bwd)
+        tape.record(result, (x,), bwd)
     return result
 
 

@@ -378,6 +378,8 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
             model.parameters(), t=operator.index(adam_meta["t"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint metadata: {exc!r}") from None
+    except MemoryError:
+        raise DataError(f"checkpoint model {meta['model_config']} does not fit in memory") from None
     stored = model.dtype.newbyteorder("<")
 
     # every array the model (and Adam, if saved) needs, exactly once, in its shape

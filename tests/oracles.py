@@ -188,6 +188,20 @@ def batchnorm_input_grad(x, gamma, grad, mode, mean, var, eps=1e-5):
     return c5(istd) * (dxhat - c5(m1) - xhat * c5(m2))
 
 
+def maxpool_argmax_grad(x, grad):
+    """Max-pool input gradient routed by each 2x2x2 block's ``argmax`` (the
+    first of equal maxima in linear order 0-7), through a contiguous copy of
+    the blocks."""
+    n, c, d, h, w = x.shape
+    blocks = x.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 6, 3, 5, 7)
+    blocks = np.ascontiguousarray(blocks).reshape(n, c, d // 2, h // 2, w // 2, 8)
+    arg = blocks.argmax(axis=-1)
+    scattered = np.zeros(blocks.shape, dtype=x.dtype)
+    np.put_along_axis(scattered, arg[..., None], grad[..., None], axis=-1)
+    dx = scattered.reshape(n, c, d // 2, h // 2, w // 2, 2, 2, 2).transpose(0, 1, 2, 5, 3, 6, 4, 7)
+    return np.ascontiguousarray(dx).reshape(x.shape)
+
+
 # ---------------------------------------------------------------------------
 # helpers only tests call
 

@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import szdl
 from szdl.cli import load_run_config, main, read_scores_csv, save_run_config
 from szdl.errors import DataError
 from szdl.manifest import load_manifest, save_manifest
@@ -398,6 +402,29 @@ class TestTrainPipeline:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert "Traceback" not in err
+
+    def test_checkpoint_model_too_large_for_memory_exit_2(self, trained, tmp_path):
+        # input_extent 4096 asks for a 64 GiB dense weight; the child caps its
+        # own address space at 2 GiB, so the allocation fails before any page
+        # is touched
+        code, root, data, cfg, out = trained
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(edited_checkpoint(
+            out / "model.ckpt", lambda meta: meta["model_config"].update(input_extent=4096)))
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "from szdl.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        volume = sorted(data.glob("*.nii"))[0]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(szdl.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, "cam", "--checkpoint", str(bad),
+                               "--volume", str(volume), "--out", str(tmp_path / "c")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("data error: checkpoint model {")
+        assert "'input_extent': 4096" in proc.stderr and "does not fit in memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ("eval", "--scores", "{dir}", "--out", "{tmp}/r"),

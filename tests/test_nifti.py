@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szdl.cli import main
 from szdl.errors import DataError
 from szdl.nifti import Volume, parse_nifti, write_nifti
 
@@ -107,6 +108,28 @@ class TestParse:
         blob = build_nifti_bytes(np.arange(8.0), (2, 2, 2), vox_offset=vox_offset)
         with pytest.raises(DataError, match="vox_offset"):
             parse_nifti(blob)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_pixdim_rejected(self, bad):
+        blob = build_nifti_bytes(np.arange(8.0), (2, 2, 2), pixdim=(bad, 1.0, 1.0))
+        with pytest.raises(DataError, match="is not three positive finite lengths"):
+            parse_nifti(blob)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sform_rejected(self, bad):
+        blob = bytearray(build_nifti_bytes(np.arange(8.0), (2, 2, 2)))
+        struct.pack_into("<h", blob, 254, 1)  # sform_code: scanner
+        struct.pack_into("<12f", blob, 280, 1, 0, 0, bad, 0, 1, 0, 0, 0, 0, 1, 0)
+        with pytest.raises(DataError, match="world_transform must be a finite 4x4"):
+            parse_nifti(bytes(blob))
+
+    def test_non_finite_pixdim_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.nii"
+        path.write_bytes(build_nifti_bytes(np.arange(8.0), (2, 2, 2),
+                                           pixdim=(float("nan"), 1.0, 1.0)))
+        assert main(["augment-preview", "--volume", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "voxel_size" in capsys.readouterr().err
 
     def test_zero_vox_offset_means_352(self):
         blob = build_nifti_bytes(np.arange(8.0), (2, 2, 2), vox_offset=0.0)

@@ -9,7 +9,8 @@ from szdl import ops
 from szdl.errors import DataError
 from szdl.tensor import Tape, Tensor, backward
 
-from oracles import activation, conv3d_loops, matmul_loops, mean_loops
+from oracles import (activation, conv3d_loops, matmul_loops, maxpool_argmax_grad, mean_loops,
+                     mul, sum_all)
 
 
 class TestConv3d:
@@ -88,17 +89,38 @@ class TestMaxpool:
             out = ops.maxpool3d(Tensor(x), tape=tape).data
             assert np.isnan(out[0, 0, 0, 0, 0]) and out[0, 0, 0, 0, 1] == 1
 
-    def test_untaped_builds_no_block_copy_or_argmax(self):
-        # the taped path holds a contiguous copy of every block (the input's
-        # size) plus its argmax; the value-only reductions stay below that
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_taped_dx_equals_argmax_routing_bytes(self, dtype):
+        # tie-heavy ReLU-like inputs: batch 2, non-cubic extents, all-zero
+        # blocks and blocks whose positive maximum repeats
+        rng = np.random.default_rng(9)
+        x = np.maximum(rng.integers(-3, 3, size=(2, 3, 4, 6, 10)), 0).astype(dtype)
+        x[0, 1, :2, :2, :2] = 0
+        x[1, 2, :2, 2:4, 4:6] = 2
+        x[1, 0, 2:, 4:, 8:] = [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
+        grad = rng.standard_normal((2, 3, 2, 3, 5)).astype(dtype)
+        xt, tape = Tensor(x), Tape()
+        out = ops.maxpool3d(xt, tape=tape)
+        backward(tape, sum_all(mul(out, Tensor(grad), tape=tape), tape=tape), [xt])
+        want = maxpool_argmax_grad(x, grad)
+        assert xt.grad.dtype == want.dtype and xt.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tape", [None, Tape()], ids=["untaped", "taped"])
+    def test_forward_builds_no_block_copy_or_argmax(self, tape):
+        # the pairwise reductions peak at about 0.81x the input, taped or not;
+        # a contiguous copy of the blocks plus an argmax peaked at 1.48x, and
+        # kept the argmax (out.nbytes / 4) alive.  Backward reads x and out,
+        # so a taped forward keeps nothing but its output
         x = np.random.default_rng(8).random((1, 8, 32, 32, 32), dtype=np.float32)
+        xt = Tensor(x)
         tracemalloc.start()
         try:
-            ops.maxpool3d(Tensor(x))
-            _, peak = tracemalloc.get_traced_memory()
+            out = ops.maxpool3d(xt, tape=tape)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes
+        assert out.data.nbytes <= held < out.data.nbytes + 4096
 
 
 class TestBatchnorm:
