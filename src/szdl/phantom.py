@@ -48,8 +48,9 @@ class PhantomSpec:
 
 
 def _normalized_grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis coordinates shaped [n,1,1], [1,n,1] and [1,1,n]; they broadcast to the volume."""
     axis = np.linspace(-1.0, 1.0, size, dtype=np.float64)
-    return np.meshgrid(axis, axis, axis, indexing="ij")
+    return np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
 
 
 def _ellipsoid_r2(coords, center, semi):

@@ -33,8 +33,6 @@ _STREAM_SHUFFLE = 1
 _STREAM_DROPOUT = 2
 _STREAM_AUGMENT = 3
 
-_EVAL_BATCH_SIZE = 16  # scans per eval-mode forward pass
-
 CHECKPOINT_MAGIC = b"SZDL"
 CHECKPOINT_VERSION = 5
 
@@ -220,14 +218,17 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     _require_two_class_split(train, "train")
     _require_two_class_split(val, "val")
 
-    model = build_model(config.model, seed=config.seed)
-    adam = AdamState.for_params(model.parameters())
+    try:
+        model = build_model(config.model, seed=config.seed)
+        adam = AdamState.for_params(model.parameters())
+    except MemoryError:
+        raise ValueError(f"model {config.model.to_dict()} does not fit in memory") from None
     history = TrainHistory()
     tracker = EarlyStopTracker(config.patience)
     best: Optional[tuple[list[np.ndarray], int]] = None  # state arrays and adam.t
-    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
 
-    try:
+    # threads start only when work is submitted: a run without augmentation starts none
+    with ThreadPoolExecutor(config.workers) as pool:
         for epoch in range(1, config.max_epochs + 1):
             shuffle_rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, _STREAM_SHUFFLE, epoch]))
@@ -246,8 +247,7 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
                 if config.augment:
                     jobs = [(vol, [config.seed, _STREAM_AUGMENT, epoch, int(i)])
                             for vol, i in zip(volumes, idx)]
-                    mapper = pool.map if pool is not None else map
-                    volumes = list(mapper(_augment_one, jobs))
+                    volumes = list(pool.map(_augment_one, jobs))
                 x = _stack_batch(volumes, model.dtype)
                 labels = np.array([r.label for r in batch_records])
 
@@ -277,9 +277,6 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
                 break
         else:
             history.stop_reason = "max-epochs"
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     if best is not None:
         arrays, adam.t = best
@@ -291,24 +288,22 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
 def _evaluate(model: Model, records: list[ScanRecord],
               data_root) -> tuple[float, ScoredSet]:
     """Eval-mode mean loss per scan, and per subject the class-1 probability
-    averaged over the subject's scans (subjects in manifest order)."""
+    averaged over the subject's scans (subjects in manifest order). Each scan
+    is a batch of one, so its score depends on that scan alone and memory
+    does not grow with the number of records."""
     labels = np.array([r.label for r in records])
-    total = 0.0
-    scores = []
-    for start in range(0, len(records), _EVAL_BATCH_SIZE):
-        chunk = records[start:start + _EVAL_BATCH_SIZE]
-        x = _stack_batch([load_scan(r, data_root) for r in chunk], model.dtype)
-        result = model.apply(x, mode="eval")
-        loss = ops.cross_entropy(result.logits, labels[start:start + _EVAL_BATCH_SIZE])
-        if not np.isfinite(loss.data):
-            raise NumericalError("non-finite validation loss")
-        total += loss.item() * len(chunk)
-        scores.append(result.probs.data[:, 1].astype(np.float64))
+    results = [model.apply(_stack_batch([load_scan(r, data_root)], model.dtype), mode="eval")
+               for r in records]
+    loss = ops.cross_entropy(Tensor(np.concatenate([res.logits.data for res in results])),
+                             labels)
+    if not np.isfinite(loss.data):
+        raise NumericalError("non-finite validation loss")
+    scores = np.concatenate([res.probs.data[:, 1] for res in results]).astype(np.float64)
     rows: dict[str, int] = {}  # subject id -> its row, in order of first scan
     row = np.array([rows.setdefault(r.subject_id, len(rows)) for r in records])
     first = np.unique(row, return_index=True)[1]
-    means = np.bincount(row, weights=np.concatenate(scores)) / np.bincount(row)
-    return total / len(records), ScoredSet(means, labels[first], subject_ids=tuple(rows))
+    means = np.bincount(row, weights=scores) / np.bincount(row)
+    return loss.item(), ScoredSet(means, labels[first], subject_ids=tuple(rows))
 
 
 def score_records(model: Model, records: list[ScanRecord], data_root=".") -> ScoredSet:

@@ -426,6 +426,27 @@ class TestTrainPipeline:
         assert "'input_extent': 4096" in proc.stderr and "does not fit in memory" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_train_model_too_large_for_memory_exit_1(self, trained, tmp_path):
+        # input_extent 4096 from a run config: building the model fails under
+        # the child's self-imposed 2 GiB address-space cap
+        code, root, data, cfg, out = trained
+        model = ModelConfig(input_extent=4096, width_scale=1 / 8, se_ratio=4)
+        huge = tiny_config(tmp_path / "huge.json", model=model)
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "from szdl.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(szdl.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, "train", "--config", str(huge),
+                               "--manifest", str(data / "manifest.json"),
+                               "--out", str(tmp_path / "t")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("configuration error: model {")
+        assert "'input_extent': 4096" in proc.stderr and "does not fit in memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ("eval", "--scores", "{dir}", "--out", "{tmp}/r"),
         ("train", "--config", "{dir}", "--manifest", "{data}/manifest.json",

@@ -1,5 +1,7 @@
 """Phantom generator contracts: determinism, label monotonicity, geometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ class TestGeometry:
         spec = PhantomSpec(size=48, effect_size=0.5)
         roi = cavity_roi(spec, margin_voxels=6.0)
         assert roi.mean() < 0.25
+
+
+class TestMemory:
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_peak_below_six_volumes(self, label):
+        # per-axis coordinate grids broadcast: no dense [n, n, n] grid per axis
+        spec = PhantomSpec(size=64, seed=13)
+        volume_bytes = 64 ** 3 * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            generate_phantom(spec, label)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * volume_bytes
 
 
 class TestValidation:

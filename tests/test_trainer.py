@@ -1,5 +1,6 @@
 """Adam, the training loop, early stopping, and checkpoint persistence."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,38 @@ class TestFit:
         skewed = [r for r in records if r.split != "val" or r.label == 1]
         with pytest.raises(DataError, match="val split holds a single class"):
             fit(tiny_train_config(), skewed, data_root=root)
+
+
+class TestScoring:
+    def test_each_scan_scored_as_if_alone(self, small_dataset):
+        # a scan's score is the class-1 probability of its own batch-of-one
+        # forward pass, whatever other scans are scored with it
+        root, records = small_dataset
+        model = build_model(tiny_train_config().model, seed=7)
+        mixed = records[::3]
+        assert {r.label for r in mixed} == {0, 1}
+        scored = score_records(model, mixed, data_root=root)
+        for rec, score in zip(mixed, scored.scores):
+            alone = score_records(model, [rec], data_root=root)
+            assert alone.scores.tobytes() == score.tobytes()
+            x = Tensor(train.load_scan(rec, root).data[None, None])
+            probs = model.apply(x, mode="eval").probs.data
+            assert np.float64(probs[0, 1]).tobytes() == score.tobytes()
+
+    def test_memory_does_not_grow_with_scan_count(self, small_dataset):
+        root, records = small_dataset
+        model = build_model(tiny_train_config().model, seed=7)
+        score_records(model, records[:1], data_root=root)  # warm caches outside the trace
+        peaks = []
+        for count in (1, 8):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                score_records(model, records[:count], data_root=root)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestCheckpoint:

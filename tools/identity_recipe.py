@@ -1,6 +1,6 @@
 """Run the byte-identity recipe of szdl into a directory and hash every output.
 
-The recipe is 17 CLI commands that together touch every subcommand whose
+The recipe is 18 CLI commands that together touch every subcommand whose
 output a kernel or pipeline change could move:
 
 - ``synth`` 20 phantoms per class at 48^3 and ``split`` them;
@@ -15,7 +15,9 @@ output a kernel or pipeline change could move:
   and a class-0 ``cam``;
 - ``gradcheck``;
 - a class-0 ``cam --split train`` on the 48^3 model, whose averaged map is
-  not degenerate (the 48^3 test-split maps are all zero).
+  not degenerate (the 48^3 test-split maps are all zero);
+- ``eval --split train`` on the 48^3 model, which scores all 32 train scans
+  in one call.
 
 Each command runs in its own process with ``OPENBLAS_NUM_THREADS=2`` and
 relative paths, from the ``src`` directory next to this script.  Its exit
@@ -79,6 +81,8 @@ COMMANDS = [
     ["gradcheck", "--out", "gradcheck"],
     ["cam", "--checkpoint", CKPT48, "--manifest", M48, "--split", "train", "--target-class", "0",
      "--out", "cam48train"],
+    ["eval", "--checkpoint", CKPT48, "--manifest", M48, "--split", "train", "--out",
+     "eval48train"],
 ]
 
 
