@@ -42,7 +42,6 @@ class AugmentSpec(JsonConfig):
     translation_max_mm: ClassVar[float] = 5.0
     elastic_grid: ClassVar[int] = 7
     elastic_max_mm: ClassVar[float] = 4.0
-    bias_order: ClassVar[int] = 3
     bias_coeff_max: ClassVar[float] = 0.3
     motion_max_transforms: ClassVar[int] = 2
     motion_max_deg: ClassVar[float] = 5.0
@@ -171,33 +170,23 @@ def elastic_deform(volume: Volume, displacements_mm: np.ndarray) -> Volume:
     return _resample(volume, src)
 
 
+# exponents (lexicographic) of the 20 monomials of the cubic bias polynomial
 _BIAS_EXPONENTS = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
                    if i + j + k <= 3]
 
 
-def bias_exponents(order: int) -> list[tuple[int, int, int]]:
-    """Monomial exponents (lexicographic) for the bias polynomial of a given order."""
-    if order > 3 or order < 0:
-        raise ValueError(f"bias polynomial order must be in [0, 3], got {order}")
-    return [e for e in _BIAS_EXPONENTS if sum(e) <= order]
-
-
-def bias_field(volume: Volume, coefficients, order: int = 3) -> Volume:
-    """Multiply by exp(P(x)) with P polynomial over normalized [-1, 1] coords."""
-    exps = bias_exponents(order)
+def bias_field(volume: Volume, coefficients) -> Volume:
+    """Multiply by exp(P(x)) with P cubic over normalized [-1, 1] coords."""
     coefficients = np.asarray(coefficients, dtype=np.float64)
-    if coefficients.shape != (len(exps),):
-        raise ValueError(f"order {order} needs {len(exps)} coefficients, "
+    if coefficients.shape != (len(_BIAS_EXPONENTS),):
+        raise ValueError(f"the cubic bias field needs {len(_BIAS_EXPONENTS)} coefficients, "
                          f"got {coefficients.shape}")
-    if not coefficients.any():
-        return replace(volume, data=volume.data.copy())
     shape = volume.data.shape
     axes = [np.linspace(-1.0, 1.0, n) for n in shape]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij", sparse=True)
     logfield = np.zeros(shape, dtype=np.float64)
-    for coeff, (i, j, k) in zip(coefficients, exps):
-        if coeff != 0.0:
-            logfield += coeff * gx ** i * gy ** j * gz ** k
+    for coeff, (i, j, k) in zip(coefficients, _BIAS_EXPONENTS):
+        logfield += coeff * gx ** i * gy ** j * gz ** k
     out = volume.data * np.exp(logfield)
     return replace(volume, data=out.astype(volume.data.dtype))
 
@@ -213,8 +202,7 @@ def motion_artifact(volume: Volume, transforms: list[dict]) -> Volume:
         raise ValueError("motion needs at least one transform")
     spectra = []
     for t in transforms:
-        moved = affine_resample(volume, rotation_deg=t.get("rotation_deg", (0, 0, 0)),
-                                translation_mm=t.get("translation_mm", (0, 0, 0)))
+        moved = affine_resample(volume, **t)
         spectra.append(np.fft.fftn(moved.data.astype(np.float64)))
     composite = np.empty_like(spectra[0])
     bands = np.array_split(np.arange(volume.data.shape[0]), len(spectra))
@@ -249,9 +237,8 @@ def plan_pipeline(spec: AugmentSpec, rng: np.random.Generator) -> AugmentPlan:
             disp = rng.uniform(-spec.elastic_max_mm, spec.elastic_max_mm, (g, g, g, 3))
             plan.append(("elastic", {"displacements_mm": disp.tolist()}))
     if rng.random() < spec.p_bias:
-        n_coeff = len(bias_exponents(spec.bias_order))
-        coeffs = rng.uniform(-spec.bias_coeff_max, spec.bias_coeff_max, n_coeff)
-        plan.append(("bias", {"coefficients": coeffs.tolist(), "order": spec.bias_order}))
+        coeffs = rng.uniform(-spec.bias_coeff_max, spec.bias_coeff_max, len(_BIAS_EXPONENTS))
+        plan.append(("bias", {"coefficients": coeffs.tolist()}))
     if rng.random() < spec.p_motion:
         count = int(rng.integers(1, spec.motion_max_transforms + 1))
         transforms = [{
@@ -275,7 +262,7 @@ def apply_plan(volume: Volume, plan: AugmentPlan) -> Volume:
         elif name == "elastic":
             volume = elastic_deform(volume, np.asarray(kwargs["displacements_mm"]))
         elif name == "bias":
-            volume = bias_field(volume, kwargs["coefficients"], kwargs["order"])
+            volume = bias_field(volume, kwargs["coefficients"])
         elif name == "motion":
             volume = motion_artifact(volume, kwargs["transforms"])
         else:  # pragma: no cover

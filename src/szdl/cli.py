@@ -219,8 +219,6 @@ def cmd_eval(args) -> int:
         raise ValueError("eval needs either --scores or --checkpoint with --manifest")
 
     report = report_dict(scored)
-    if args.scores_b:
-        report["delong"] = _delong_block(scored, read_scores_csv(args.scores_b))
     if not args.scores:
         write_scores_csv(scored, args.out / "scores.csv")
     (args.out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
@@ -388,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="ROC/AUC report from scores or a checkpoint")
     p.add_argument("--scores", default=None, help="score CSV (subject_id,score,label)")
-    p.add_argument("--scores-b", default=None, help="second score CSV for a DeLong block")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--manifest", default=None)
     p.add_argument("--split", default="test", choices=SPLITS)

@@ -56,7 +56,7 @@ class ModelConfig(JsonConfig):
         scaled = []
         for c in _BLOCK_CHANNELS:
             v = c * self.width_scale
-            if abs(v - round(v)) > 1e-9 or round(v) < 1:
+            if not 0 < v < math.inf or abs(v - round(v)) > 1e-9 or round(v) < 1:
                 raise ValueError(f"width_scale {self.width_scale} does not scale {c} "
                                  "to a positive integer")
             scaled.append(int(round(v)))
@@ -67,14 +67,17 @@ class ModelConfig(JsonConfig):
             raise ValueError(
                 f"input_extent {self.input_extent} must be a positive multiple of "
                 f"{2 ** _POOL_STAGES} (four pooling stages)")
+        if self.se_ratio < 1:
+            raise ValueError(f"se_ratio must be >= 1, got {self.se_ratio}")
         for c in self.scaled_channels():
             if c % self.se_ratio != 0:
                 raise ValueError(
                     f"se_ratio {self.se_ratio} does not divide channel width {c}")
         if not 0 <= self.dropout_p < 1:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if len(self.classifier_dims) != 2:
-            raise ValueError("classifier_dims must list the two hidden dense widths")
+        dims = self.classifier_dims
+        if len(dims) != 2 or not all(type(d) is int and d > 0 for d in dims):
+            raise ValueError(f"classifier_dims must be two positive integers, got {list(dims)}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class Model:
 
     def zero_grad(self) -> None:
         for p in self.params.values():
-            p.zero_grad()
+            p.grad[...] = 0
 
     def state_arrays(self) -> list[tuple[str, str, np.ndarray]]:
         """(role, name, array) of every parameter and BN statistic, in checkpoint order."""

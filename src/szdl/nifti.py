@@ -13,7 +13,7 @@ write -> parse round trip is bit-exact on the payload.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,25 +60,8 @@ class Volume:
             raise DataError("volume contains non-finite voxels")
 
 
-@dataclass
-class NiftiHeader:
-    """Decoded subset of the 348-byte NIfTI-1 header."""
-
-    sizeof_hdr: int
-    dim: tuple[int, ...]
-    datatype: int
-    bitpix: int
-    vox_offset: float
-    scl_slope: float
-    scl_inter: float
-    pixdim: tuple[float, ...]
-    magic: bytes
-    byteorder: str = "<"
-    sform: Optional[np.ndarray] = field(default=None)
-
-
-def parse_nifti(blob: bytes) -> tuple[NiftiHeader, Volume]:
-    """Decode an in-memory NIfTI-1 file into (header, volume).
+def parse_nifti(blob: bytes) -> Volume:
+    """Decode an in-memory NIfTI-1 file into a volume.
 
     Non-finite voxel values after scaling are rejected.
     """
@@ -142,12 +125,8 @@ def parse_nifti(blob: bytes) -> tuple[NiftiHeader, Volume]:
     if not np.isfinite(values).all():
         raise DataError("volume contains NaN/Inf voxels")
 
-    header = NiftiHeader(sizeof_hdr=sizeof_hdr, dim=tuple(dim), datatype=datatype,
-                         bitpix=bitpix, vox_offset=vox_offset, scl_slope=scl_slope,
-                         scl_inter=scl_inter, pixdim=tuple(pixdim), magic=magic,
-                         byteorder=byteorder, sform=sform)
     voxel_size = tuple(abs(float(p)) or 1.0 for p in pixdim[1:4])
-    return header, Volume(values, voxel_size=voxel_size, world_transform=sform)
+    return Volume(values, voxel_size=voxel_size, world_transform=sform)
 
 
 def write_nifti(volume: Volume) -> bytes:
@@ -174,7 +153,7 @@ def write_nifti(volume: Volume) -> bytes:
 
 def load_volume(path) -> Volume:
     with open(path, "rb") as fh:
-        return parse_nifti(fh.read())[1]
+        return parse_nifti(fh.read())
 
 
 def save_volume(volume: Volume, path) -> None:

@@ -52,12 +52,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad[...] = 0
-
     def item(self) -> float:
         return float(self.data)
 
@@ -73,7 +67,8 @@ class Parameter(Tensor):
     def __init__(self, name: str, data, dtype=None):
         super().__init__(data, dtype=dtype)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        # np.zeros, unlike zeros_like, leaves the pages unmapped until training writes them
+        self.grad = np.zeros(self.data.shape, self.data.dtype)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -55,8 +56,8 @@ class TrainConfig(JsonConfig):
     workers: int = 1
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.patience < 1:
@@ -347,62 +348,66 @@ def save_checkpoint(model: Model, state: Optional[AdamState], history: Optional[
 
 
 def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHistory]]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"checkpoint magic {raw[:4]!r} != {CHECKPOINT_MAGIC!r}")
-    if len(raw) < 16:
-        raise DataError(f"checkpoint header truncated at {len(raw)} of 16 bytes")
-    version, meta_len = struct.unpack_from("<IQ", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    header_end = 16 + meta_len
-    if len(raw) < header_end:
-        raise DataError("metadata block truncated")
-    try:
-        meta = json.loads(raw[16:header_end].decode("utf-8"))
-        if meta["dtype"] not in ("float32", "float64"):
-            raise ValueError(f"dtype {meta['dtype']!r} is not float32 or float64")
-        # str() keeps a non-string role or name from escaping as an unhashable key
-        index = [((str(e["role"]), str(e["name"])), tuple(map(operator.index, e["shape"])))
-                 for e in meta["arrays"]]
-        history = None if meta["history"] is None else TrainHistory.from_dict(meta["history"])
-        model = build_model(ModelConfig.from_dict(meta["model_config"]), seed=0,
-                            dtype=meta["dtype"])
-        adam_meta = meta["adam"]
-        adam = None if adam_meta is None else AdamState.for_params(
-            model.parameters(), t=operator.index(adam_meta["t"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed checkpoint metadata: {exc!r}") from None
-    except MemoryError:
-        raise DataError(f"checkpoint model {meta['model_config']} does not fit in memory") from None
-    stored = model.dtype.newbyteorder("<")
+    """Check every size against the file's, then read each array into the model or Adam."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise DataError(f"checkpoint magic {head[:4]!r} != {CHECKPOINT_MAGIC!r}")
+        if len(head) < 16:
+            raise DataError(f"checkpoint header truncated at {len(head)} of 16 bytes")
+        version, meta_len = struct.unpack_from("<IQ", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise DataError(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        offset = 16 + meta_len
+        if size < offset:
+            raise DataError("metadata block truncated")
+        try:
+            meta = json.loads(fh.read(meta_len).decode("utf-8"))
+            if meta["dtype"] not in ("float32", "float64"):
+                raise ValueError(f"dtype {meta['dtype']!r} is not float32 or float64")
+            # str() keeps a non-string role or name from escaping as an unhashable key
+            index = [((str(e["role"]), str(e["name"])), tuple(map(operator.index, e["shape"])))
+                     for e in meta["arrays"]]
+            history = None if meta["history"] is None else TrainHistory.from_dict(meta["history"])
+            model = build_model(ModelConfig.from_dict(meta["model_config"]), seed=0,
+                                dtype=meta["dtype"])
+            adam_meta = meta["adam"]
+            adam = None if adam_meta is None else AdamState.for_params(
+                model.parameters(), t=operator.index(adam_meta["t"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed checkpoint metadata: {exc!r}") from None
+        except MemoryError:
+            raise DataError(f"checkpoint model {meta['model_config']} does not fit in "
+                            "memory") from None
 
-    # every array the model (and Adam, if saved) needs, exactly once, in its shape
-    expected = {(role, name): arr for role, name, arr in _array_index(model, adam)}
-    loaded = set()
-    offset = header_end
-    for key, shape in index:
-        if key not in expected:
-            raise DataError(f"unexpected array {key[0]} {key[1]!r}")
-        if key in loaded:
-            raise DataError(f"array {key[0]} {key[1]!r} appears twice")
-        if shape != expected[key].shape:
-            raise DataError(f"array {key[0]} {key[1]!r} has shape {shape}, "
-                            f"the model needs {expected[key].shape}")
-        count = int(np.prod(shape, dtype=np.int64))
-        nbytes = count * stored.itemsize
-        if len(raw) < offset + nbytes:
-            raise DataError(f"array {key[1]} truncated")
-        expected[key][...] = np.frombuffer(raw, dtype=stored, count=count,
-                                           offset=offset).reshape(shape)
-        loaded.add(key)
-        offset += nbytes
-    missing = sorted(expected.keys() - loaded)
-    if missing:
-        raise DataError(f"{len(missing)} arrays missing, first {missing[0][0]} "
-                        f"{missing[0][1]!r}")
-    if offset != len(raw):
-        raise DataError(f"{len(raw) - offset} trailing bytes after the last array")
+        # every array the model (and Adam, if saved) needs, exactly once, in its shape
+        expected = {(role, name): arr for role, name, arr in _array_index(model, adam)}
+        loaded = set()
+        for key, shape in index:
+            if key not in expected:
+                raise DataError(f"unexpected array {key[0]} {key[1]!r}")
+            if key in loaded:
+                raise DataError(f"array {key[0]} {key[1]!r} appears twice")
+            if shape != expected[key].shape:
+                raise DataError(f"array {key[0]} {key[1]!r} has shape {shape}, "
+                                f"the model needs {expected[key].shape}")
+            offset += expected[key].nbytes
+            if size < offset:
+                raise DataError(f"array {key[1]} truncated")
+            loaded.add(key)
+        missing = sorted(expected.keys() - loaded)
+        if missing:
+            raise DataError(f"{len(missing)} arrays missing, first {missing[0][0]} "
+                            f"{missing[0][1]!r}")
+        if offset != size:
+            raise DataError(f"{size - offset} trailing bytes after the last array")
+        for key, _ in index:  # stored little-endian, in the model's dtype
+            dest = expected[key]
+            if fh.readinto(dest) != dest.nbytes:
+                raise DataError(f"array {key[1]} truncated")
+            if not np.little_endian:
+                dest.byteswap(inplace=True)
     return model, adam, history
 
 

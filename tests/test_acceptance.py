@@ -20,7 +20,6 @@ from szdl.augment import (
     AugmentSpec,
     affine_resample,
     apply_plan,
-    bias_exponents,
     bias_field,
     blur,
     add_noise,
@@ -378,7 +377,7 @@ class TestCriterion6Augmentation:
             np.testing.assert_array_equal(
                 elastic_deform(vol, np.zeros((5, 5, 5, 3))).data, vol.data)
             np.testing.assert_array_equal(
-                bias_field(vol, np.zeros(len(bias_exponents(3)))).data, vol.data)
+                bias_field(vol, np.zeros(20)).data, vol.data)
             np.testing.assert_allclose(
                 motion_artifact(vol, [{"rotation_deg": (0, 0, 0),
                                        "translation_mm": (0, 0, 0)}]).data,
@@ -473,7 +472,7 @@ class TestCriterion9DeterminismPersistence:
                 extents = tuple(int(e) for e in rng.integers(2, 10, 3))
                 vol = Volume((rng.random(extents) * 7 - 3).astype(np.float32),
                              voxel_size=tuple(rng.uniform(0.2, 3.0, 3)))
-                _, back = parse_nifti(write_nifti(vol))
+                back = parse_nifti(write_nifti(vol))
                 assert back.data.tobytes() == vol.data.tobytes()
 
 

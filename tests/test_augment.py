@@ -9,7 +9,6 @@ from szdl.augment import (
     affine_resample,
     apply_pipeline,
     apply_plan,
-    bias_exponents,
     bias_field,
     blur,
     elastic_deform,
@@ -127,22 +126,23 @@ class TestElastic:
 class TestBiasField:
     def test_zero_coefficients_identity(self):
         vol = random_volume()
-        out = bias_field(vol, np.zeros(len(bias_exponents(3))), order=3)
+        out = bias_field(vol, np.zeros(20))
         np.testing.assert_array_equal(out.data, vol.data)
 
     def test_field_strictly_positive(self):
         rng = np.random.default_rng(9)
         base = Volume(np.ones((10, 10, 10), dtype=np.float32))
-        coeffs = rng.uniform(-0.5, 0.5, len(bias_exponents(3)))
-        out = bias_field(base, coeffs, order=3)
+        coeffs = rng.uniform(-0.5, 0.5, 20)
+        out = bias_field(base, coeffs)
         assert np.all(out.data > 0)
 
     def test_log_ratio_equals_polynomial(self):
         rng = np.random.default_rng(10)
         vol = Volume(rng.uniform(0.5, 1.0, (12, 12, 12)).astype(np.float64))
-        exps = bias_exponents(2)
+        # the 20 cubic monomials x^a y^b z^d, a + b + d <= 3, in lexicographic order
+        exps = [(a, b, d) for a in range(4) for b in range(4) for d in range(4) if a + b + d <= 3]
         coeffs = rng.uniform(-0.3, 0.3, len(exps))
-        out = bias_field(vol, coeffs, order=2)
+        out = bias_field(vol, coeffs)
         axes = [np.linspace(-1, 1, 12)] * 3
         for _ in range(20):
             i, j, k = rng.integers(0, 12, 3)
@@ -151,9 +151,9 @@ class TestBiasField:
             got = np.log(out.data[i, j, k] / vol.data[i, j, k])
             assert got == pytest.approx(expected, abs=1e-5)
 
-    def test_order_too_high(self):
-        with pytest.raises(ValueError):
-            bias_field(random_volume(), np.zeros(35), order=4)
+    def test_coefficient_count_checked(self):
+        with pytest.raises(ValueError, match="needs 20 coefficients"):
+            bias_field(random_volume(), np.zeros(35))
 
 
 class TestMotion:

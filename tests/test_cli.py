@@ -15,9 +15,9 @@ import szdl
 from szdl.cli import load_run_config, main, read_scores_csv, save_run_config
 from szdl.errors import DataError
 from szdl.manifest import load_manifest, save_manifest
-from szdl.model import ModelConfig
+from szdl.model import ModelConfig, build_model
 from szdl.nifti import Volume, load_volume, save_volume
-from szdl.train import CHECKPOINT_VERSION, TrainConfig
+from szdl.train import CHECKPOINT_VERSION, AdamState, TrainConfig, save_checkpoint
 
 
 def run(*argv):
@@ -150,13 +150,12 @@ class TestEvalAndCompare:
         assert err.startswith("data error: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["compare", "eval", "eval-alone"])
+    @pytest.mark.parametrize("command", ["compare", "eval-alone"])
     def test_repeated_subject_id_exit_2(self, tmp_path, capsys, command):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_scores(a, [("x", 0.9, 1), ("x", 0.4, 1), ("y", 0.5, 0), ("z", 0.1, 0)])
         write_scores(b, [("x", 0.8, 1), ("y", 0.3, 0), ("y", 0.6, 0), ("z", 0.2, 0)])
         argv = {"compare": ("compare", "--scores-a", a, "--scores-b", b),
-                "eval": ("eval", "--scores", a, "--scores-b", b),
                 "eval-alone": ("eval", "--scores", a)}
         assert run(*argv[command], "--out", tmp_path / "r") == 2
         err = capsys.readouterr().err
@@ -252,8 +251,6 @@ class TestTrainPipeline:
         files = tmp_path / "two" / "scores.csv", tmp_path / "one" / "scores.csv"
         assert run("compare", "--scores-a", files[0], "--scores-b", files[1],
                    "--out", tmp_path / "cmp") == 0
-        assert run("eval", "--scores", files[0], "--scores-b", files[1],
-                   "--out", tmp_path / "both") == 0
 
     def test_cam_from_checkpoint(self, trained):
         code, root, data, cfg, out = trained
@@ -359,6 +356,46 @@ class TestTrainPipeline:
         bad.write_text(json.dumps(raw))
         assert run("train", "--config", bad, "--manifest", data / "manifest.json",
                    "--out", tmp_path / "o") == 1
+
+    # values of the right JSON type that no model or optimizer can use; json
+    # writes and reads inf and nan as Infinity and NaN
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("model", "se_ratio", 0, "se_ratio must be >= 1, got 0"),
+        ("model", "classifier_dims", [0, 4], "must be two positive integers, got [0, 4]"),
+        ("model", "classifier_dims", ["a", 4], "must be two positive integers, got ['a', 4]"),
+        ("model", "width_scale", float("inf"), "width_scale inf does not scale 64"),
+        ("train", "learning_rate", float("nan"), "learning_rate must be finite and > 0, got nan"),
+    ], ids=["se_ratio-0", "classifier_dims-0", "classifier_dims-text", "width_scale-inf",
+            "learning_rate-nan"])
+    def test_unusable_config_value_exit_1(self, trained, tmp_path, capsys, section, key,
+                                          value, message):
+        code, root, data, cfg, out = trained
+        raw = json.loads(Path(cfg).read_text())
+        (raw["train"] if section == "train" else raw["train"][section])[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert run("train", "--config", bad, "--manifest", data / "manifest.json",
+                   "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("se_ratio", 0), ("classifier_dims", [0, 4]),
+                                            ("width_scale", float("inf"))],
+                             ids=["se_ratio-0", "classifier_dims-0", "width_scale-inf"])
+    def test_unusable_checkpoint_model_config_exit_2(self, trained, tmp_path, capsys, key,
+                                                     value):
+        code, root, data, cfg, out = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(edited_checkpoint(out / "model.ckpt",
+                                          lambda meta: meta["model_config"].update({key: value})))
+        capsys.readouterr()
+        assert run("cam", "--checkpoint", bad, "--manifest", data / "manifest.json",
+                   "--out", tmp_path / "c") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed checkpoint metadata: ValueError(")
+        assert "Traceback" not in err
 
     def test_bad_schema_version_exit_1(self, trained, tmp_path):
         code, root, data, cfg, out = trained
@@ -468,6 +505,40 @@ class TestTrainPipeline:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert "Traceback" not in err
+
+
+# VmPeak of `szdl eval` and `szdl cam` below with OPENBLAS_NUM_THREADS=2 (2-core x86-64,
+# numpy 2.4, OpenBLAS 0.3.31): 1120 and 1174 MiB, against 1460 MiB for both when the
+# whole checkpoint file was read into memory before the model.  The cap leaves cam 157 MiB.
+PAPER_SCALE_ADDRESS_SPACE = int(1.3 * 2 ** 30)
+
+
+@pytest.mark.slow
+def test_paper_scale_eval_and_cam_under_address_space_cap(tmp_path):
+    # a full-width checkpoint with Adam state, two 192^3 scans (96^3 model input)
+    model = build_model(ModelConfig(), seed=0)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(model, AdamState.for_params(model.parameters()), None, ckpt)
+    del model
+    data = tmp_path / "data"
+    assert run("synth", "--out", data, "--count", 1, "--size", 192) == 0
+    manifest = data / "manifest.json"
+    save_manifest([replace(r, split="test") for r in load_manifest(manifest)], manifest)
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({PAPER_SCALE_ADDRESS_SPACE},) * 2)\n"
+              "from szdl.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": str(Path(szdl.__file__).parents[1])}
+    for argv in (["eval", "--out", tmp_path / "eval"],
+                 ["cam", "--target-class", 1, "--out", tmp_path / "cam"]):
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv),
+                               "--checkpoint", str(ckpt), "--manifest", str(manifest)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+    scored = read_scores_csv(tmp_path / "eval" / "scores.csv")
+    assert len(scored.scores) == 2 and np.isfinite(scored.scores).all()
+    assert load_volume(tmp_path / "cam" / "cam.nii").extents == (96, 96, 96)
 
 
 class TestAugmentPreviewAndGradcheck:

@@ -349,7 +349,7 @@ class TestConvChunks:
         def run(chunk_bytes):
             monkeypatch.setattr(ops, "_CHUNK_BYTES", chunk_bytes)
             for p in (x, wt, b):
-                p.zero_grad()
+                p.grad = None
             built.clear()
             tape = Tape()
             out = ops.conv3d(x, wt, b, tape=tape)

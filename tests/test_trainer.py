@@ -346,6 +346,23 @@ class TestCheckpoint:
             assert q.data.dtype == np.float64
             np.testing.assert_array_equal(p.data, q.data)
 
+    def test_load_reads_into_the_model_without_a_file_copy(self, tmp_path):
+        # each array is read straight into the model or Adam buffer it fills, so
+        # loading allocates under 10% beyond those and the gradient buffers
+        model = build_model(ModelConfig(input_extent=48, width_scale=1 / 8, se_ratio=4), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, AdamState.for_params(model.parameters()), None, path)
+        del model
+        tracemalloc.start()
+        try:
+            loaded, adam, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        filled = sum(a.nbytes for _, _, a in train._array_index(loaded, adam))
+        grads = sum(p.grad.nbytes for p in loaded.parameters())
+        assert peak <= 1.1 * (filled + grads), (peak, filled, grads)
+
     def test_resume_steps_identically(self, small_dataset, tmp_path):
         # saved Adam state resumes exactly: one manual step after load matches
         # one manual step without the round trip

@@ -1,13 +1,12 @@
 """Run the byte-identity recipe of szdl into a directory and hash every output.
 
-The recipe is 18 CLI commands that together touch every subcommand whose
+The recipe is 17 CLI commands that together touch every subcommand whose
 output a kernel or pipeline change could move:
 
 - ``synth`` 20 phantoms per class at 48^3 and ``split`` them;
 - a 2-epoch 48^3 ``train`` (width 1/8, batch 5, augmentation on,
   ``--workers 2``), its ``eval`` and class-1 ``cam`` on the test split;
-- ``compare`` and ``eval --scores-b`` against a dark-voxel-fraction score
-  file;
+- ``compare`` against a dark-voxel-fraction score file;
 - a two-site 32^3 hold-out: two ``synth`` runs and a ``train
   --hold-out-site NMorphCH`` with a 16^3 model input, so ``downsample2x``
   runs forward and backward;
@@ -66,7 +65,6 @@ COMMANDS = [
     ["eval", "--checkpoint", CKPT48, "--manifest", M48, "--out", "eval48"],
     ["cam", "--checkpoint", CKPT48, "--manifest", M48, "--target-class", "1", "--out", "cam48"],
     ["compare", "--scores-a", "eval48/scores.csv", "--scores-b", "dark.csv", "--out", "compare48"],
-    ["eval", "--scores", "eval48/scores.csv", "--scores-b", "dark.csv", "--out", "evalb48"],
     ["synth", "--out", "sites/nmorph", "--count", "10", "--size", "32", "--seed", "11",
      "--site", "NMorphCH", "--prefix", "n"],
     ["synth", "--out", "sites/cobre", "--count", "10", "--size", "32", "--seed", "22",
