@@ -97,6 +97,9 @@ def read_scores_csv(path) -> ScoredSet:
         except (IndexError, ValueError):
             raise DataError(f"{path}: malformed row {row!r}") from None
         ids.append(row[0])
+    if len(set(ids)) < len(ids):
+        repeated = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
+        raise DataError(f"{path}: subject {repeated!r} appears twice")
     return ScoredSet(np.array(scores), np.array(labels), subject_ids=tuple(ids))
 
 
@@ -108,18 +111,14 @@ def write_roc_csv(report: dict, path) -> None:
             writer.writerow([point["threshold"], point["fpr"], point["tpr"]])
 
 
-def _id_order(scored: ScoredSet, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """A score file's subject ids, sorted, and the rows in that order; ids must not repeat."""
-    ids, rows, counts = np.unique(np.array(scored.subject_ids, dtype=str),
-                                  return_index=True, return_counts=True)
-    if (counts > 1).any():
-        raise DataError(f"the {which} score file repeats subject {str(ids[counts > 1][0])!r}")
-    return ids, rows
+def _id_order(scored: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
+    """A score file's unique subject ids, sorted, and the rows in that order."""
+    return np.unique(np.array(scored.subject_ids, dtype=str), return_index=True)
 
 
 def _align_score_files(a: ScoredSet, b: ScoredSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match two score files on unique subject ids, in id order; labels must agree."""
-    (ids_a, ia), (ids_b, ib) = _id_order(a, "first"), _id_order(b, "second")
+    (ids_a, ia), (ids_b, ib) = _id_order(a), _id_order(b)
     if not np.array_equal(ids_a, ids_b):
         raise DataError("score files cover different subject sets")
     mismatch = np.flatnonzero(a.labels[ia] != b.labels[ib])
@@ -208,7 +207,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.scores:
         scored = read_scores_csv(args.scores)
-        _id_order(scored, "first")
     elif args.checkpoint and args.manifest:
         model, _, _ = load_checkpoint(Path(args.checkpoint))
         records = [r for r in load_manifest(args.manifest) if r.split == args.split]
@@ -254,21 +252,28 @@ def cmd_cam(args) -> int:
         root = _data_root(args)
         volumes = (load_scan(r, root) for r in records)  # one scan in memory at a time
 
-    cams = [grad_cam(model, vol, args.target_class) for vol in volumes]
-    averaged = average_cam(cams)
+    degenerate = []  # one flag per map: the maps themselves are summed as they come
+
+    def cams():
+        for vol in volumes:
+            cam = grad_cam(model, vol, args.target_class)
+            degenerate.append(cam.degenerate)
+            yield cam
+
+    averaged = average_cam(cams())
     export_cam(averaged, args.out / "cam.nii")
     write_mid_slices(averaged.values, args.out, "cam")
     mask = threshold_cam(averaged, args.threshold)
     summary = {
-        "n_subjects": len(cams),
+        "n_subjects": len(degenerate),
         "target_class": args.target_class,
         "threshold": args.threshold,
         "suprathreshold_voxels": int(mask.sum()),
-        "degenerate_maps": sum(c.degenerate for c in cams),
+        "degenerate_maps": sum(degenerate),
         "source_layer": averaged.source_layer,
     }
     (args.out / "cam_report.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"averaged CAM over {len(cams)} scans -> {args.out / 'cam.nii'} "
+    print(f"averaged CAM over {len(degenerate)} scans -> {args.out / 'cam.nii'} "
           f"({summary['suprathreshold_voxels']} voxels >= {args.threshold})")
     return 0
 
@@ -303,17 +308,13 @@ def cmd_gradcheck(args) -> int:
     labels = np.array([0, 1])
 
     def loss_value() -> float:
-        snap = {k: s.copy() for k, s in model.bn_states.items()}
-        result = model.apply(x, mode="train")
-        value = ops.cross_entropy(result.logits, labels).item()
-        model.bn_states.update(snap)
-        return value
+        # train-mode batch norm reads batch statistics, never the running ones it updates
+        return ops.cross_entropy(model.apply(x, mode="train").logits, labels).item()
 
     tape = Tape()
     result = model.apply(x, mode="train", tape=tape)
     loss = ops.cross_entropy(result.logits, labels, tape=tape)
-    model.zero_grad()
-    backward(tape, loss)
+    backward(tape, loss)  # into the zero gradients every new Parameter starts with
 
     step = 1e-5
     worst = {"name": None, "rel_error": 0.0}

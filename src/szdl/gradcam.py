@@ -16,12 +16,16 @@ the coarse map is trilinearly upsampled to the input grid and min-max
 normalized to [0, 1].  An all-zero raw map skips the upsampling; any
 constant map becomes an all-zero CAM with a degenerate flag instead of
 dividing by zero.
+
+The map lies on the model-input grid.  When the model halves the scan, a CAM
+voxel is twice the scan's and is centred on the 2^3 scan voxels it covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy import ndimage
@@ -33,9 +37,13 @@ from .nifti import Volume, save_volume
 from .tensor import Tape, Tensor, backward
 
 
+# CAM voxel index -> scan voxel index when the model halves the scan
+_HALVED_GRID = np.array([[2, 0, 0, 0.5], [0, 2, 0, 0.5], [0, 0, 2, 0.5], [0, 0, 0, 1]])
+
+
 @dataclass
 class CamVolume:
-    """Normalized class-activation heatmap aligned to the model-input grid."""
+    """Normalized class-activation heatmap on the model-input grid, placed in the scan's space."""
 
     values: np.ndarray
     source_layer: str
@@ -44,6 +52,7 @@ class CamVolume:
     norm_max: float
     degenerate: bool = False
     voxel_size: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    world_transform: Optional[np.ndarray] = None
 
     @property
     def extents(self) -> tuple[int, int, int]:
@@ -57,14 +66,16 @@ def trilinear_resize(data: np.ndarray, out_shape) -> np.ndarray:
 
 
 def _normalized(values: np.ndarray, source_layer: str, target_class: int,
-                voxel_size: tuple[float, float, float]) -> CamVolume:
+                voxel_size: tuple[float, float, float],
+                world_transform: Optional[np.ndarray]) -> CamVolume:
     """Min-max scale a map to [0, 1]; a constant map becomes all zero, flagged degenerate."""
     lo, hi = float(values.min()), float(values.max())
     degenerate = hi <= lo  # no contrast to normalize
     scaled = np.zeros(values.shape) if degenerate else (values - lo) / (hi - lo)
     return CamVolume(values=scaled.astype(np.float32), source_layer=source_layer,
                      target_class=target_class, norm_min=lo, norm_max=hi,
-                     degenerate=degenerate, voxel_size=voxel_size)
+                     degenerate=degenerate, voxel_size=voxel_size,
+                     world_transform=world_transform)
 
 
 def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
@@ -91,21 +102,36 @@ def grad_cam(model: Model, volume: Volume, target_class: int) -> CamVolume:
                                   axes=(0, 0)), 0.0)
     out_shape = (model.config.input_extent,) * 3
     upsampled = trilinear_resize(raw, out_shape) if raw.any() else np.zeros(out_shape)
-    return _normalized(upsampled, model.feature_layer, target_class, volume.voxel_size)
+
+    factor = volume.extents[0] // model.config.input_extent  # 1, or 2 if the model halves
+    transform = volume.world_transform
+    if factor == 2:  # a volume without a transform is placed as the NIfTI writer places it
+        base = np.diag([*volume.voxel_size, 1.0]) if transform is None else transform
+        transform = base @ _HALVED_GRID
+    return _normalized(upsampled, model.feature_layer, target_class,
+                       tuple(factor * v for v in volume.voxel_size), transform)
 
 
-def average_cam(cams: list[CamVolume]) -> CamVolume:
-    """Voxelwise mean of normalized maps, re-normalized to [0, 1]."""
-    if not cams:
-        raise DataError("need at least one CAM to average")
-    first = cams[0]
-    for cam in cams[1:]:
-        if cam.extents != first.extents:
-            raise DataError(f"CAM extents differ: {cam.extents} vs {first.extents}")
-        if cam.target_class != first.target_class:
+def average_cam(cams: Iterable[CamVolume]) -> CamVolume:
+    """Voxelwise mean of normalized maps, re-normalized to [0, 1], with the
+    first map's geometry.  The maps are summed as they come, so only one is
+    held at a time."""
+    total, count = None, 0
+    for cam in cams:
+        if total is None:  # keep the first map's tags and geometry, not its values
+            total = cam.values.astype(np.float64)
+            tags = cam.source_layer, cam.target_class, cam.voxel_size, cam.world_transform
+        elif cam.extents != total.shape:
+            raise DataError(f"CAM extents differ: {cam.extents} vs {total.shape}")
+        elif cam.target_class != tags[1]:
             raise DataError("CAMs target different classes")
-    mean = np.mean([c.values for c in cams], axis=0, dtype=np.float64)
-    return _normalized(mean, first.source_layer, first.target_class, first.voxel_size)
+        else:
+            total += cam.values
+        count += 1
+    if total is None:
+        raise DataError("need at least one CAM to average")
+    total /= count
+    return _normalized(total, *tags)
 
 
 def threshold_cam(cam: CamVolume, threshold: float = 0.85) -> np.ndarray:
@@ -117,7 +143,8 @@ def threshold_cam(cam: CamVolume, threshold: float = 0.85) -> np.ndarray:
 
 def export_cam(cam: CamVolume, path) -> None:
     """Write the CAM as a NIfTI volume for overlay in standard viewers."""
-    save_volume(Volume(cam.values, voxel_size=cam.voxel_size), path)
+    save_volume(Volume(cam.values, voxel_size=cam.voxel_size,
+                       world_transform=cam.world_transform), path)
 
 
 def write_mid_slices(values: np.ndarray, directory, stem: str) -> list[Path]:

@@ -240,9 +240,6 @@ class BNState:
     mean: np.ndarray
     var: np.ndarray
 
-    def copy(self) -> "BNState":
-        return BNState(self.mean.copy(), self.var.copy())
-
 
 def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, mode: str, state: BNState,
                 tape: Tape | None = None, out: np.ndarray | None = None) -> Tensor:

@@ -115,7 +115,7 @@ def adam_step(params: list[Parameter], grads: list[np.ndarray], state: AdamState
 
 
 # ---------------------------------------------------------------------------
-# history and early stopping
+# history
 
 
 @dataclass
@@ -128,6 +128,8 @@ class EpochRecord:
 
 @dataclass
 class TrainHistory:
+    """A run's progress, which early stopping reads: epochs, the best one, why it stopped."""
+
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
     stop_reason: str = ""
@@ -151,28 +153,6 @@ class TrainHistory:
                    stop_reason=str(data["stop_reason"]))
 
 
-class EarlyStopTracker:
-    """Stop when the metric fails to improve for `patience` epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.bad_epochs = 0
-
-    def update(self, value: float) -> bool:
-        """Record one epoch; returns True if this is a new best."""
-        if value < self.best:
-            self.best = value
-            self.bad_epochs = 0
-            return True
-        self.bad_epochs += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.bad_epochs >= self.patience
-
-
 # ---------------------------------------------------------------------------
 # data plumbing
 
@@ -182,16 +162,14 @@ def load_scan(record: ScanRecord, data_root) -> Volume:
     return load_volume(Path(data_root) / record.scan_path)
 
 
-def _split_records(records: list[ScanRecord], split: str) -> list[ScanRecord]:
-    return [r for r in records if r.split == split]
-
-
-def _require_two_class_split(records: list[ScanRecord], name: str) -> None:
-    if not records:
+def _two_class_split(records: list[ScanRecord], name: str) -> list[ScanRecord]:
+    """The records of split ``name``, which must hold scans of both classes."""
+    split = [r for r in records if r.split == name]
+    if not split:
         raise DataError(f"{name} split is empty")
-    labels = {r.label for r in records}
-    if len(labels) < 2:
+    if len({r.label for r in split}) < 2:
         raise DataError(f"{name} split holds a single class")
+    return split
 
 
 def _stack_batch(volumes: list[Volume], dtype) -> Tensor:
@@ -214,10 +192,8 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     """Optimize the model on the train split, tracking the best epoch by
     validation loss; returns the best-epoch model, its Adam state and the
     per-epoch history."""
-    train = _split_records(records, "train")
-    val = _split_records(records, "val")
-    _require_two_class_split(train, "train")
-    _require_two_class_split(val, "val")
+    train = _two_class_split(records, "train")
+    val = _two_class_split(records, "val")
 
     try:
         model = build_model(config.model, seed=config.seed)
@@ -225,7 +201,6 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     except MemoryError:
         raise ValueError(f"model {config.model.to_dict()} does not fit in memory") from None
     history = TrainHistory()
-    tracker = EarlyStopTracker(config.patience)
     best: Optional[tuple[list[np.ndarray], int]] = None  # state arrays and adam.t
 
     # threads start only when work is submitted: a run without augmentation starts none
@@ -270,10 +245,10 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
             val_auc = auc(val_scored)
             history.records.append(EpochRecord(epoch, train_loss, val_loss, val_auc))
 
-            if tracker.update(val_loss):
+            if epoch == 1 or val_loss < history.records[history.best_epoch - 1].val_loss:
                 history.best_epoch = epoch
                 best = [a.copy() for _, _, a in _array_index(model, adam)], adam.t
-            if tracker.should_stop:
+            if epoch - history.best_epoch >= config.patience:
                 history.stop_reason = "early-stop"
                 break
         else:
@@ -425,8 +400,8 @@ def run_generalization(config: TrainConfig, records: list[ScanRecord], held_site
     hold-out ``records``.
     """
     assigned = hold_out_site(records, held_site, seed=config.seed)
+    test = _two_class_split(assigned, "test")  # before training, which may take hours
     model, adam, history = fit(config, assigned, data_root=data_root)
-    test = _split_records(assigned, "test")
     scored = score_records(model, test, data_root=data_root)
     report = {
         "held_out_site": held_site,

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import szdl
+from szdl import train
 from szdl.cli import load_run_config, main, read_scores_csv, save_run_config
 from szdl.errors import DataError
-from szdl.manifest import load_manifest, save_manifest
+from szdl.manifest import ScanRecord, load_manifest, save_manifest
 from szdl.model import ModelConfig, build_model
 from szdl.nifti import Volume, load_volume, save_volume
 from szdl.train import CHECKPOINT_VERSION, AdamState, TrainConfig, save_checkpoint
@@ -159,7 +161,7 @@ class TestEvalAndCompare:
                 "eval-alone": ("eval", "--scores", a)}
         assert run(*argv[command], "--out", tmp_path / "r") == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: the first score file repeats subject 'x'")
+        assert err.startswith(f"data error: {a}: subject 'x' appears twice")
         assert "Traceback" not in err
 
     def test_label_mismatch_names_first_subject(self, tmp_path, capsys):
@@ -218,6 +220,24 @@ class TestTrainPipeline:
         assert run("train", "--config", cfg, "--manifest", data / "manifest.json",
                    "--out", out) == 0
         assert (out / "model.ckpt").exists()
+
+    def test_single_class_held_out_site_exit_2_before_training(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # every held-out NMorphCH scan is a control, so the test split cannot be scored
+        records = [ScanRecord(f"c{i:02d}", f"c{i:02d}.nii", i % 2, "COBRE") for i in range(20)]
+        records += [ScanRecord(f"n{i}", f"n{i}.nii", 0, "NMorphCH") for i in range(6)]
+        save_manifest(records, tmp_path / "manifest.json")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the test split was checked")
+
+        monkeypatch.setattr(train, "fit", no_fit)
+        out = tmp_path / "run"
+        assert run("train", "--config", tiny_config(tmp_path / "config.json"),
+                   "--manifest", tmp_path / "manifest.json", "--hold-out-site", "NMorphCH",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == "data error: test split holds a single class\n"
+        assert not any(out.iterdir())
 
     def test_eval_from_checkpoint(self, trained):
         code, root, data, cfg, out = trained
@@ -538,7 +558,36 @@ def test_paper_scale_eval_and_cam_under_address_space_cap(tmp_path):
         assert proc.returncode == 0, proc.stderr
     scored = read_scores_csv(tmp_path / "eval" / "scores.csv")
     assert len(scored.scores) == 2 and np.isfinite(scored.scores).all()
-    assert load_volume(tmp_path / "cam" / "cam.nii").extents == (96, 96, 96)
+    cam = load_volume(tmp_path / "cam" / "cam.nii")
+    assert cam.extents == (96, 96, 96)
+    assert cam.voxel_size == (2.0, 2.0, 2.0)  # the 96^3 map spans the 192 mm scan
+
+
+def test_cam_memory_flat_in_the_number_of_scans(tmp_path):
+    # an averaged map over 16 scans holds no more maps than one over a single scan
+    data = tmp_path / "data"
+    assert run("synth", "--out", data, "--count", 1, "--size", 48) == 0
+    scan = next(r for r in load_manifest(data / "manifest.json") if r.label == 1)
+    records = [replace(scan, subject_id=f"s{i:02d}", scan_path=f"s{i:02d}.nii", split="test")
+               for i in range(16)]
+    for r in records:
+        (data / r.scan_path).write_bytes((data / scan.scan_path).read_bytes())
+    save_manifest(records[:1], data / "one.json")
+    save_manifest(records, data / "sixteen.json")
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(ModelConfig(input_extent=48, width_scale=1 / 8, se_ratio=4),
+                                seed=0), None, None, ckpt)
+    peaks = []
+    for name in ("one", "sixteen"):
+        tracemalloc.start()
+        try:
+            assert run("cam", "--checkpoint", ckpt, "--manifest", data / f"{name}.json",
+                       "--out", tmp_path / name) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert json.loads((tmp_path / "sixteen" / "cam_report.json").read_text())["n_subjects"] == 16
+    assert peaks[1] <= 1.15 * peaks[0], [p / 2 ** 20 for p in peaks]
 
 
 class TestAugmentPreviewAndGradcheck:

@@ -17,7 +17,7 @@ from szdl.gradcam import (
     write_mid_slices,
 )
 from szdl.model import ModelConfig, build_model
-from szdl.nifti import Volume, load_volume
+from szdl.nifti import Volume, load_volume, save_volume
 from szdl.tensor import Tape, Tensor, backward
 
 from oracles import block_average, localization_score
@@ -195,6 +195,40 @@ class TestGradCam:
         cam = grad_cam(toy_model(), random_volume(extent=32, seed=11), 1)
         assert cam.extents == (16, 16, 16)
 
+    def test_halved_scan_cam_covers_the_scan(self, tmp_path):
+        # a 32^3 scan at 1 mm with its origin at (-10, 20, 5), through a 16^3 model
+        transform = np.eye(4)
+        transform[:3, 3] = (-10.0, 20.0, 5.0)
+        volume = random_volume(extent=32, seed=11)
+        volume.world_transform = transform
+        cam = grad_cam(toy_model(), volume, 1)
+        assert cam.voxel_size == (2.0, 2.0, 2.0)
+        # CAM voxel i lies at the centre of scan voxels 2i and 2i + 1
+        np.testing.assert_array_equal(cam.world_transform @ [0, 0, 0, 1], [-9.5, 20.5, 5.5, 1])
+        np.testing.assert_array_equal(cam.world_transform @ [15, 15, 15, 1],
+                                      transform @ [30.5, 30.5, 30.5, 1])
+        export_cam(cam, tmp_path / "cam.nii")
+        back = load_volume(tmp_path / "cam.nii")
+        assert back.voxel_size == (2.0, 2.0, 2.0)
+        np.testing.assert_array_equal(back.world_transform, cam.world_transform)
+        # a scan without a sform lies where the NIfTI writer puts it: diag(voxel size)
+        bare = grad_cam(toy_model(), random_volume(extent=32, seed=11), 1)
+        np.testing.assert_array_equal(bare.world_transform @ [0, 0, 0, 1], [0.5, 0.5, 0.5, 1])
+
+    def test_model_grid_scan_cam_keeps_the_scan_geometry(self, tmp_path):
+        transform = np.diag([1.5, 1.0, 2.0, 1.0])
+        transform[:3, 3] = (-10.0, 20.0, 5.0)
+        volume = random_volume(extent=16, seed=12)
+        volume.voxel_size, volume.world_transform = (1.5, 1.0, 2.0), transform
+        cam = grad_cam(toy_model(), volume, 1)
+        assert cam.voxel_size == volume.voxel_size
+        np.testing.assert_array_equal(cam.world_transform, transform)
+        save_volume(volume, tmp_path / "scan.nii")
+        export_cam(cam, tmp_path / "cam.nii")
+        scan_header, cam_header = ((tmp_path / name).read_bytes()[:352]
+                                   for name in ("scan.nii", "cam.nii"))
+        assert cam_header == scan_header  # pixdim and sform included
+
 
 class TestSourceLayer:
     """The CAM source is the deepest block ReLU whose map is at least 6^3."""
@@ -285,6 +319,15 @@ class TestAverageCam:
         mean = sum(m.astype(np.float64) for m in maps) / 5
         expected = (mean - mean.min()) / (mean.max() - mean.min())
         np.testing.assert_allclose(out.values, expected, atol=1e-6)
+
+    def test_streamed_maps_match_stacked_mean_bytes(self):
+        rng = np.random.default_rng(21)
+        maps = [rng.random((6, 6, 6)).astype(np.float32) for _ in range(7)]
+        out = average_cam(self._cam(m) for m in maps)  # a generator: one map at a time
+        mean = np.mean(maps, axis=0, dtype=np.float64)
+        expected = ((mean - mean.min()) / (mean.max() - mean.min())).astype(np.float32)
+        np.testing.assert_array_equal(out.values, expected)
+        assert (out.norm_min, out.norm_max) == (mean.min(), mean.max())
 
     def test_errors(self):
         with pytest.raises(DataError, match="need at least one CAM to average"):

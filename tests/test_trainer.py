@@ -15,7 +15,6 @@ from szdl.tensor import Parameter, Tensor
 from szdl.train import (
     CHECKPOINT_VERSION,
     AdamState,
-    EarlyStopTracker,
     TrainConfig,
     TrainHistory,
     adam_step,
@@ -92,23 +91,31 @@ class TestAdam:
             adam_step([p], [np.array([np.nan])], state, lr=1e-3)
 
 
-class TestEarlyStopTracker:
-    def test_plateau_stops_after_patience_epochs(self):
-        tracker = EarlyStopTracker(patience=5)
-        assert tracker.update(1.0)  # epoch 1: baseline improvement
-        epochs = 1
-        while not tracker.should_stop:
-            epochs += 1
-            tracker.update(1.0)  # constructed plateau
-        assert epochs == 6  # patience + 1
+class TestEarlyStopping:
+    """``fit`` stops ``patience`` epochs after the best validation loss in its history."""
 
-    def test_improvement_resets(self):
-        tracker = EarlyStopTracker(patience=2)
-        tracker.update(1.0)
-        tracker.update(1.0)
-        tracker.update(0.5)
-        assert tracker.bad_epochs == 0
-        assert not tracker.should_stop
+    def _history(self, monkeypatch, small_dataset, val_losses, **overrides):
+        root, records = small_dataset
+        scripted = iter(val_losses)
+        evaluate = train._evaluate
+        # the real validation scores, with a scripted validation loss
+        monkeypatch.setattr(train, "_evaluate",
+                            lambda *args: (next(scripted), evaluate(*args)[1]))
+        return fit(tiny_train_config(**overrides), records, data_root=root)[2]
+
+    def test_plateau_stops_after_patience_epochs(self, monkeypatch, small_dataset):
+        history = self._history(monkeypatch, small_dataset, [1.0] * 10,
+                                patience=5, max_epochs=10)
+        assert len(history.records) == 6  # patience + 1
+        assert history.best_epoch == 1
+        assert history.stop_reason == "early-stop"
+
+    def test_improvement_resets(self, monkeypatch, small_dataset):
+        history = self._history(monkeypatch, small_dataset, [1.0, 1.0, 0.5, 0.5],
+                                patience=2, max_epochs=4)
+        assert len(history.records) == 4
+        assert history.best_epoch == 3
+        assert history.stop_reason == "max-epochs"
 
 
 class TestFit:

@@ -1,6 +1,6 @@
 """Run the byte-identity recipe of szdl into a directory and hash every output.
 
-The recipe is 17 CLI commands that together touch every subcommand whose
+The recipe is 18 CLI commands that together touch every subcommand whose
 output a kernel or pipeline change could move:
 
 - ``synth`` 20 phantoms per class at 48^3 and ``split`` them;
@@ -16,7 +16,9 @@ output a kernel or pipeline change could move:
 - a class-0 ``cam --split train`` on the 48^3 model, whose averaged map is
   not degenerate (the 48^3 test-split maps are all zero);
 - ``eval --split train`` on the 48^3 model, which scores all 32 train scans
-  in one call.
+  in one call;
+- a class-1 ``cam`` on the hold-out model's test split, whose 16^3 map lies
+  over 32^3 scans at twice their voxel size.
 
 Each command runs in its own process with ``OPENBLAS_NUM_THREADS=2`` and
 relative paths, from the ``src`` directory next to this script.  Its exit
@@ -81,6 +83,8 @@ COMMANDS = [
      "--out", "cam48train"],
     ["eval", "--checkpoint", CKPT48, "--manifest", M48, "--split", "train", "--out",
      "eval48train"],
+    ["cam", "--checkpoint", "holdout/model.ckpt", "--manifest", "holdout/manifest_holdout.json",
+     "--data-root", "sites", "--target-class", "1", "--out", "camholdout"],
 ]
 
 
