@@ -110,13 +110,8 @@ def blur(volume: Volume, sigma_mm: float) -> Volume:
     data = volume.data.astype(np.float64)
     for axis in range(3):
         sigma_vox = sigma_mm / volume.voxel_size[axis]
-        radius = math.ceil(3 * sigma_vox)
-        if radius == 0:
-            continue
-        offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-        kernel = np.exp(-0.5 * (offsets / sigma_vox) ** 2)
-        kernel /= kernel.sum()
-        data = ndimage.convolve1d(data, kernel, axis=axis, mode="mirror")
+        data = ndimage.gaussian_filter1d(data, sigma_vox, axis=axis, mode="mirror",
+                                         radius=math.ceil(3 * sigma_vox))
     return replace(volume, data=data.astype(volume.data.dtype))
 
 

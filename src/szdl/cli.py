@@ -1,9 +1,9 @@
 """Command-line entry point orchestrating the whole pipeline.
 
 Subcommands: synth, split, train, eval, cam, compare, augment-preview,
-gradcheck.  All randomness flows from --seed; outputs are JSON/CSV/NIfTI
-files under --out.  Exit codes: 0 success, 1 configuration error, 2 data
-error, 3 numerical failure.
+gradcheck.  All randomness flows from a seed: --seed, or the run config's
+for train.  Outputs are JSON/CSV/NIfTI files under --out.  Exit codes: 0
+success, 1 configuration error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import csv
 import ctypes
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .augment import AugmentSpec, apply_plan, plan_pipeline
 from .errors import DataError, NumericalError
 from .evalstats import ScoredSet, delong_test, report_dict
 from .gradcam import average_cam, export_cam, grad_cam, threshold_cam, write_mid_slices
-from .manifest import SITES, SPLITS, assign_splits, hold_out_site, load_manifest, save_manifest
+from .manifest import SITES, SPLITS, assign_splits, load_manifest, save_manifest
 from .model import ModelConfig, build_model
 from .nifti import load_volume, save_volume
 from .phantom import PhantomSpec, synthesize_dataset
@@ -36,6 +36,7 @@ from .train import (
     run_generalization,
     save_checkpoint,
     score_records,
+    two_class_split,
 )
 
 RUN_CONFIG_SCHEMA_VERSION = 1
@@ -111,25 +112,16 @@ def write_roc_csv(report: dict, path) -> None:
             writer.writerow([point["threshold"], point["fpr"], point["tpr"]])
 
 
-def _id_order(scored: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
-    """A score file's unique subject ids, sorted, and the rows in that order."""
-    return np.unique(np.array(scored.subject_ids, dtype=str), return_index=True)
-
-
 def _align_score_files(a: ScoredSet, b: ScoredSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match two score files on unique subject ids, in id order; labels must agree."""
-    (ids_a, ia), (ids_b, ib) = _id_order(a), _id_order(b)
+    (ids_a, ia), (ids_b, ib) = (np.unique(np.array(s.subject_ids, dtype=str), return_index=True)
+                                for s in (a, b))
     if not np.array_equal(ids_a, ids_b):
         raise DataError("score files cover different subject sets")
     mismatch = np.flatnonzero(a.labels[ia] != b.labels[ib])
     if mismatch.size:
         raise DataError(f"label mismatch for subject {str(ids_a[mismatch[0]])!r}")
     return a.scores[ia], b.scores[ib], a.labels[ia]
-
-
-def _delong_block(a: ScoredSet, b: ScoredSet) -> dict:
-    sa, sb, labels = _align_score_files(a, b)
-    return {**asdict(delong_test(sa, sb, labels)), "n": int(len(labels))}
 
 
 def _out_dir(value: str) -> Path:
@@ -162,13 +154,8 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     records = load_manifest(args.manifest)
-    if args.hold_out_site:
-        records = hold_out_site(records, args.hold_out_site, seed=args.seed)
-    else:
-        ratios = tuple(int(x) for x in args.ratios.split(","))
-        if len(ratios) != 3:
-            raise ValueError(f"--ratios needs three comma-separated tenths, got {args.ratios}")
-        records = assign_splits(records, ratios=ratios, seed=args.seed)
+    ratios = tuple(int(x) for x in args.ratios.split(","))
+    records = assign_splits(records, ratios=ratios, seed=args.seed)
     out = args.out or args.manifest
     save_manifest(records, out)
     counts = {s: sum(r.split == s for r in records) for s in ("train", "val", "test")}
@@ -178,10 +165,6 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
     records = load_manifest(args.manifest)
     if args.hold_out_site:
         result = run_generalization(config, records, args.hold_out_site,
@@ -209,9 +192,7 @@ def cmd_eval(args) -> int:
         scored = read_scores_csv(args.scores)
     elif args.checkpoint and args.manifest:
         model, _, _ = load_checkpoint(Path(args.checkpoint))
-        records = [r for r in load_manifest(args.manifest) if r.split == args.split]
-        if {r.label for r in records} != {0, 1}:
-            raise DataError(f"split {args.split!r} needs scans of both classes")
+        records = two_class_split(load_manifest(args.manifest), args.split)
         scored = score_records(model, records, data_root=_data_root(args))
     else:
         raise ValueError("eval needs either --scores or --checkpoint with --manifest")
@@ -226,7 +207,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    block = _delong_block(read_scores_csv(args.scores_a), read_scores_csv(args.scores_b))
+    sa, sb, labels = _align_score_files(read_scores_csv(args.scores_a),
+                                        read_scores_csv(args.scores_b))
+    block = {**asdict(delong_test(sa, sb, labels)), "n": int(len(labels))}
     (args.out / "delong.json").write_text(json.dumps(block, indent=2) + "\n")
     if block["degenerate"]:
         print("degenerate comparison: zero variance with unequal AUCs")
@@ -371,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ratios", default="8,1,1")
-    p.add_argument("--hold-out-site", default=None, choices=SITES)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_split)
 
@@ -379,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, type=_out_dir)
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--data-root", default=None)
     p.add_argument("--hold-out-site", default=None, choices=SITES)
     p.set_defaults(func=cmd_train)

@@ -134,7 +134,7 @@ def average_cam(cams: Iterable[CamVolume]) -> CamVolume:
     return _normalized(total, *tags)
 
 
-def threshold_cam(cam: CamVolume, threshold: float = 0.85) -> np.ndarray:
+def threshold_cam(cam: CamVolume, threshold: float) -> np.ndarray:
     """Binary mask of voxels at or above the threshold."""
     if not 0 <= threshold <= 1:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -148,9 +148,8 @@ def export_cam(cam: CamVolume, path) -> None:
 
 
 def write_mid_slices(values: np.ndarray, directory, stem: str) -> list[Path]:
-    """Dump the three orthogonal mid-slices as 8-bit PGM images."""
+    """Dump the three orthogonal mid-slices as 8-bit PGM images into an existing directory."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     lo, hi = float(values.min()), float(values.max())
     scaled = np.zeros_like(values, dtype=np.uint8) if hi <= lo else \
         np.round(255 * (values - lo) / (hi - lo)).astype(np.uint8)

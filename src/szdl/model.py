@@ -218,7 +218,7 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     with running mean 0 / variance 1.
     """
     model = Model(config, dtype=dtype)
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     dt = model.dtype
 
     def add_param(name, shape, fan_in):

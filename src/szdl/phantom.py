@@ -45,6 +45,8 @@ class PhantomSpec:
             raise ValueError(f"phantom size must be >= 16, got {self.size}")
         if self.effect_size < 0 or self.noise_std < 0:
             raise ValueError("effect_size and noise_std must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"phantom seed must be >= 0, got {self.seed}")
 
 
 def _normalized_grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,7 +89,7 @@ def generate_phantom(spec: PhantomSpec, label: int) -> Volume:
     """
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFFFFFFFFFF]))
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed]))
 
     # per-subject jitter; drawn identically for both labels
     brain_scale = 1.0 + rng.uniform(-0.05, 0.05, 3)
@@ -145,8 +147,8 @@ def _paint_blobs(values: np.ndarray, cavity: np.ndarray, blobs: list[tuple],
         values[mask] *= factor
 
 
-def cavity_roi(spec: PhantomSpec, label: int = 1, margin_voxels: float = 0.0) -> np.ndarray:
-    """Boolean mask of the nominal (jitter-free) cavity pair, optionally dilated.
+def cavity_roi(spec: PhantomSpec, label: int = 1, *, margin_voxels: float) -> np.ndarray:
+    """Boolean mask of the nominal (jitter-free) cavity pair, dilated by a margin.
 
     ``margin_voxels`` enlarges each cavity semi-axis by that many voxels,
     giving the dilated region-of-interest used by the CAM localization

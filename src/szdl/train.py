@@ -66,6 +66,8 @@ class TrainConfig(JsonConfig):
             raise ValueError("max_epochs must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,7 @@ def load_scan(record: ScanRecord, data_root) -> Volume:
     return load_volume(Path(data_root) / record.scan_path)
 
 
-def _two_class_split(records: list[ScanRecord], name: str) -> list[ScanRecord]:
+def two_class_split(records: list[ScanRecord], name: str) -> list[ScanRecord]:
     """The records of split ``name``, which must hold scans of both classes."""
     split = [r for r in records if r.split == name]
     if not split:
@@ -187,13 +189,13 @@ def _augment_one(args):
 # training loop
 
 
-def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
-        ) -> tuple[Model, AdamState, TrainHistory]:
+def fit(config: TrainConfig, records: list[ScanRecord],
+        data_root) -> tuple[Model, AdamState, TrainHistory]:
     """Optimize the model on the train split, tracking the best epoch by
     validation loss; returns the best-epoch model, its Adam state and the
     per-epoch history."""
-    train = _two_class_split(records, "train")
-    val = _two_class_split(records, "val")
+    train = two_class_split(records, "train")
+    val = two_class_split(records, "val")
 
     try:
         model = build_model(config.model, seed=config.seed)
@@ -201,7 +203,6 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
     except MemoryError:
         raise ValueError(f"model {config.model.to_dict()} does not fit in memory") from None
     history = TrainHistory()
-    best: Optional[tuple[list[np.ndarray], int]] = None  # state arrays and adam.t
 
     # threads start only when work is submitted: a run without augmentation starts none
     with ThreadPoolExecutor(config.workers) as pool:
@@ -254,10 +255,9 @@ def fit(config: TrainConfig, records: list[ScanRecord], data_root=".",
         else:
             history.stop_reason = "max-epochs"
 
-    if best is not None:
-        arrays, adam.t = best
-        for (_, _, a), saved in zip(_array_index(model, adam), arrays):
-            a[...] = saved
+    arrays, adam.t = best
+    for (_, _, a), saved in zip(_array_index(model, adam), arrays):
+        a[...] = saved
     return model, adam, history
 
 
@@ -282,7 +282,7 @@ def _evaluate(model: Model, records: list[ScanRecord],
     return loss.item(), ScoredSet(means, labels[first], subject_ids=tuple(rows))
 
 
-def score_records(model: Model, records: list[ScanRecord], data_root=".") -> ScoredSet:
+def score_records(model: Model, records: list[ScanRecord], data_root) -> ScoredSet:
     """Eval-mode likelihood scores, one per subject, for a record list (e.g. the test split)."""
     return _evaluate(model, records, data_root)[1]
 
@@ -391,7 +391,7 @@ def load_checkpoint(path) -> tuple[Model, Optional[AdamState], Optional[TrainHis
 
 
 def run_generalization(config: TrainConfig, records: list[ScanRecord], held_site: str,
-                       data_root=".") -> dict:
+                       data_root) -> dict:
     """Hold one site out as the test set, train on the rest, evaluate.
 
     Returns ``report``, the ``report_dict`` of the test scores tagged with
@@ -400,7 +400,7 @@ def run_generalization(config: TrainConfig, records: list[ScanRecord], held_site
     hold-out ``records``.
     """
     assigned = hold_out_site(records, held_site, seed=config.seed)
-    test = _two_class_split(assigned, "test")  # before training, which may take hours
+    test = two_class_split(assigned, "test")  # before training, which may take hours
     model, adam, history = fit(config, assigned, data_root=data_root)
     scored = score_records(model, test, data_root=data_root)
     report = {

@@ -93,6 +93,15 @@ class TestSynthAndSplit:
         counts = {s: sum(r.split == s for r in records) for s in ("train", "val", "test")}
         assert counts == {"train": 8, "val": 1, "test": 1}
 
+    def test_split_out_leaves_the_input_manifest(self, tmp_path):
+        out = tmp_path / "data"
+        run("synth", "--out", out, "--count", 5, "--size", 16)
+        before = (out / "manifest.json").read_bytes()
+        assert run("split", out / "manifest.json", "--out", tmp_path / "split.json") == 0
+        assert (out / "manifest.json").read_bytes() == before
+        records = load_manifest(tmp_path / "split.json")
+        assert {r.split for r in records} == {"train", "val", "test"}
+
     def test_split_missing_manifest_is_data_error(self, tmp_path):
         assert run("split", tmp_path / "nope.json") == 2
 
@@ -208,6 +217,16 @@ class TestTrainPipeline:
                    "--out", out2) == 0
         assert (out1 / "history.csv").read_text() == (out2 / "history.csv").read_text()
 
+    def test_train_data_root_resolves_a_moved_manifest(self, trained, tmp_path):
+        code, root, data, cfg, out1 = trained
+        manifest = tmp_path / "elsewhere" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_bytes((data / "manifest.json").read_bytes())
+        out2 = tmp_path / "run"
+        assert run("train", "--config", cfg, "--manifest", manifest, "--data-root", data,
+                   "--out", out2) == 0
+        assert (out1 / "history.csv").read_text() == (out2 / "history.csv").read_text()
+
     def test_trailing_one_scan_batch_trains(self, tmp_path):
         # 16 train scans at batch 5 leave one over; in a batch of its own, block 5's
         # 1^3 map would give train-mode batchnorm one element per channel
@@ -297,8 +316,17 @@ class TestTrainPipeline:
                    "--out", report_dir) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
-        assert "'test'" in err
+        assert err == "data error: test split holds a single class\n"
         assert "Traceback" not in err
+        assert list(report_dir.iterdir()) == []
+
+    def test_eval_empty_split_exit_2_writes_nothing(self, trained, tmp_path, capsys):
+        code, root, data, cfg, out = trained
+        report_dir = tmp_path / "eval"
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", out / "model.ckpt", "--manifest",
+                   data / "manifest.json", "--split", "unassigned", "--out", report_dir) == 2
+        assert capsys.readouterr().err == "data error: unassigned split is empty\n"
         assert list(report_dir.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["eval", "cam"])
@@ -385,8 +413,9 @@ class TestTrainPipeline:
         ("model", "classifier_dims", ["a", 4], "must be two positive integers, got ['a', 4]"),
         ("model", "width_scale", float("inf"), "width_scale inf does not scale 64"),
         ("train", "learning_rate", float("nan"), "learning_rate must be finite and > 0, got nan"),
+        ("train", "seed", -2, "seed must be >= 0, got -2"),
     ], ids=["se_ratio-0", "classifier_dims-0", "classifier_dims-text", "width_scale-inf",
-            "learning_rate-nan"])
+            "learning_rate-nan", "seed-negative"])
     def test_unusable_config_value_exit_1(self, trained, tmp_path, capsys, section, key,
                                           value, message):
         code, root, data, cfg, out = trained

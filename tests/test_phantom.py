@@ -88,6 +88,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             PhantomSpec(size=24, effect_size=-0.1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="phantom seed must be >= 0, got -1"):
+            PhantomSpec(size=24, seed=-1)
+
     def test_bad_label(self):
         with pytest.raises(ValueError):
             generate_phantom(PhantomSpec(size=24), 2)

@@ -4,8 +4,9 @@ The recipe is 18 CLI commands that together touch every subcommand whose
 output a kernel or pipeline change could move:
 
 - ``synth`` 20 phantoms per class at 48^3 and ``split`` them;
-- a 2-epoch 48^3 ``train`` (width 1/8, batch 5, augmentation on,
-  ``--workers 2``), its ``eval`` and class-1 ``cam`` on the test split;
+- a 2-epoch 48^3 ``train`` (width 1/8, batch 5, augmentation on, its
+  config's ``workers`` 2), its ``eval`` and class-1 ``cam`` on the test
+  split;
 - ``compare`` against a dark-voxel-fraction score file;
 - a two-site 32^3 hold-out: two ``synth`` runs and a ``train
   --hold-out-site NMorphCH`` with a 16^3 model input, so ``downsample2x``
@@ -51,7 +52,7 @@ MODEL_48 = {"input_extent": 48, "width_scale": 0.125, "se_ratio": 4}
 MODEL_16 = {"input_extent": 16, "width_scale": 0.125, "se_ratio": 4, "classifier_dims": [8, 4]}
 CONFIGS = {
     "train48.json": {"model": MODEL_48, "learning_rate": 1e-3, "batch_size": 5,
-                     "max_epochs": 2, "seed": 5, "augment": True},
+                     "max_epochs": 2, "seed": 5, "augment": True, "workers": 2},
     "holdout.json": {"model": MODEL_16, "learning_rate": 1e-3, "batch_size": 5,
                      "max_epochs": 2, "seed": 5, "augment": False},
     "train16.json": {"model": MODEL_16, "learning_rate": 0.03, "batch_size": 5,
@@ -63,7 +64,7 @@ CKPT48, CKPT16 = "run48/model.ckpt", "run16/model.ckpt"
 COMMANDS = [
     ["synth", "--out", "data48", "--count", "20", "--size", "48", "--seed", "5"],
     ["split", M48, "--seed", "5"],
-    ["train", "--config", "train48.json", "--manifest", M48, "--out", "run48", "--workers", "2"],
+    ["train", "--config", "train48.json", "--manifest", M48, "--out", "run48"],
     ["eval", "--checkpoint", CKPT48, "--manifest", M48, "--out", "eval48"],
     ["cam", "--checkpoint", CKPT48, "--manifest", M48, "--target-class", "1", "--out", "cam48"],
     ["compare", "--scores-a", "eval48/scores.csv", "--scores-b", "dark.csv", "--out", "compare48"],
